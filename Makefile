@@ -1,6 +1,7 @@
-# Build, test and benchmark entry points. `make bench-json` writes the
-# benchmark record of the current PR to BENCH_PR<n>.json so the perf
-# trajectory is tracked in-repo from PR 1 onward; since PR 2 the record
+# Build, test and benchmark entry points. `make bench` runs the repository's
+# one benchmark, perfbench (every workload, seed 1, 20 s each, tracing off;
+# see perfbench/README.md and BENCHMARK.json). The per-PR bench-* targets
+# below write the legacy BENCH_PR<n>.json records; the second record
 # includes BenchmarkLiveEngine — the first real (non-simulated) numbers —
 # PR 3 adds BenchmarkMultiTableLive (shared-budget multi-table server,
 # `make bench-multi` → BENCH_PR3.json), PR 4 adds the scheduler
@@ -26,10 +27,9 @@
 
 GO        ?= go
 BENCHTIME ?= 3x
-BENCH_OUT ?= BENCH_PR8.json
 SEEDS     ?= 1,2,3,4,5,6,7,8
 
-.PHONY: build test test-race test-serve vet fmt-check soak soak-rand bench bench-live bench-multi bench-sched bench-dsm bench-fault bench-obs bench-scale bench-compress bench-json
+.PHONY: build test test-race test-serve vet fmt-check soak soak-rand bench bench-live bench-multi bench-sched bench-dsm bench-fault bench-obs bench-scale bench-compress
 
 build:
 	$(GO) build ./...
@@ -82,7 +82,7 @@ fmt-check:
 	fi
 
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) .
+	bash perfbench/run.sh --workload all --seed 1 --seconds 20 --trace 0
 
 # End-to-end live engine comparison (all four policies over a real table
 # file on $$TMPDIR; see live_bench_test.go).
@@ -151,6 +151,3 @@ bench-scale:
 # aggregates (see compress_bench_test.go).
 bench-compress:
 	$(GO) test -run '^$$' -bench BenchmarkLiveCompressedIO -benchmem -benchtime $(BENCHTIME) -json . > BENCH_PR10.json
-
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -json . > $(BENCH_OUT)

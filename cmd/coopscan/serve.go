@@ -158,8 +158,8 @@ func runServe(args []string) {
 	ss := front.Sessions()
 	for _, tier := range []string{"interactive", "batch"} {
 		c := ss.Tiers[tier]
-		fmt.Printf("%-12s admitted %d (queued %d), completed %d, disconnected %d, deadline-exceeded %d, shed %d\n",
-			tier, c.Admitted, c.Queued, c.Completed, c.Disconnected, c.DeadlineExceeded, c.Shed)
+		fmt.Printf("%-12s admitted %d (queued %d), completed %d, disconnected %d, deadline-exceeded %d, failed %d, shed %d\n",
+			tier, c.Admitted, c.Queued, c.Completed, c.Disconnected, c.DeadlineExceeded, c.Failed, c.Shed)
 	}
 	fmt.Printf("peak live %d of %d\n", ss.PeakLive, ss.MaxLive)
 	printInjectorStats(injectors)

@@ -195,6 +195,9 @@ func (p *Pool) Contains(id PageID) bool {
 	return ok
 }
 
+// Capacity returns the most pages the pool holds at once.
+func (p *Pool) Capacity() int { return p.capacity }
+
 // Resident returns the number of resident pages.
 func (p *Pool) Resident() int { return len(p.frames) }
 

@@ -20,11 +20,12 @@ import (
 // scanStream (wait → deliver → process spans); and each table's load
 // pipeline renders on a small set of per-table "lane" tracks — a load job
 // claims a lane at issue and returns it at completion, so the queued → read
-// → verify → pin spans of concurrent loads never overlap within a track.
-// Verify time is accumulated across a load's page runs (checksum checks
-// interleave with the positioned reads) and rendered as a span trailing the
-// read it belongs to; the read+verify wall time is exact, the boundary
-// between them is the accumulated split.
+// → verify → decompress → device_model → pin spans of concurrent loads never
+// overlap within a track. The verify, decompress and device-model times are
+// accumulated across a load's page runs (each run is read, verified,
+// decoded, then slept off in turn) and rendered as spans trailing the read
+// they belong to; the load's wall time is exact, the boundaries between the
+// stages are the accumulated split.
 type serverObs struct {
 	enabled bool
 	tracer  *obs.Tracer
@@ -33,6 +34,7 @@ type serverObs struct {
 	readSeconds       *obs.Histogram
 	verifySeconds     *obs.Histogram
 	decompressSeconds *obs.Histogram
+	modelSeconds      *obs.Histogram
 	pinSeconds        *obs.Histogram
 	readBytes         *obs.Counter
 	decodedBytes      *obs.Counter
@@ -77,11 +79,13 @@ func newServerObs(reg *obs.Registry, tracer *obs.Tracer) serverObs {
 		o.inflight = reg.Gauge("coopscan_load_inflight",
 			"Loads issued to workers and not yet completed or aborted.")
 		o.readSeconds = reg.Histogram("coopscan_load_read_seconds",
-			"Wall time of coalesced load reads, verify time excluded (includes the device-model sleep).", obs.IOBuckets)
+			"Wall time of coalesced load reads, verify, decompress and device-model time excluded.", obs.IOBuckets)
 		o.verifySeconds = reg.Histogram("coopscan_load_verify_seconds",
 			"Wall time of per-page checksum verification, accumulated per load read.", obs.IOBuckets)
 		o.decompressSeconds = reg.Histogram("coopscan_load_decompress_seconds",
 			"Wall time spent decompressing v4 extents into page buffers, accumulated per load read.", obs.IOBuckets)
+		o.modelSeconds = reg.Histogram("coopscan_load_device_model_seconds",
+			"Wall time load reads slept in the ReadBandwidth device model, accumulated per load read.", obs.IOBuckets)
 		o.pinSeconds = reg.Histogram("coopscan_load_pin_seconds",
 			"Wall time of a load completion's pin-and-commit section.", obs.SchedBuckets)
 		o.readBytes = reg.Counter("coopscan_load_read_bytes_total",

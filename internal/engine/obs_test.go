@@ -251,3 +251,80 @@ func validateTraceFile(t *testing.T, path string) {
 		}
 	}
 }
+
+// TestDeviceModelTimedApart checks that the ReadBandwidth sleep is metered
+// as its own stage: it lands in coopscan_load_device_model_seconds, not in
+// coopscan_load_read_seconds, and each load lane draws it after the read
+// and verify spans it follows.
+func TestDeviceModelTimedApart(t *testing.T) {
+	tf := newTestFile(t, 8_000, 1000, 3)
+	reg := obs.NewRegistry()
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	tracer, err := obs.CreateTrace(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, ServerConfig{
+		Policy:        core.Relevance,
+		BufferBytes:   4 * tf.ChunkBytes(),
+		ReadBandwidth: 16 << 20, // ~7 ms per 112 KB chunk, far above a page-cache read
+		Obs:           reg,
+		Trace:         tracer,
+	}, tf)
+	if _, err := srv.Scan(0, "q", rangeSet(0, tf.NumChunks()), Q6Cols(), func(int, ChunkData) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := scrapeMetrics(t, reg)
+	model, read := m["coopscan_load_device_model_seconds_sum"], m["coopscan_load_read_seconds_sum"]
+	if model <= 0 || model <= read {
+		t.Errorf("device-model seconds %v, read seconds %v: want the model's sleep > 0 and above the read time", model, read)
+	}
+	if n := m["coopscan_load_device_model_seconds_count"]; n != m["coopscan_load_read_seconds_count"] {
+		t.Errorf("device-model observations %v != read observations %v", n, m["coopscan_load_read_seconds_count"])
+	}
+
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Ph   string  `json:"ph"`
+		Name string  `json:"name"`
+		Tid  float64 `json:"tid"`
+		Ts   float64 `json:"ts"`
+		Dur  float64 `json:"dur"`
+	}
+	if err := json.Unmarshal(raw, &events); err != nil {
+		t.Fatal(err)
+	}
+	// Per lane, a load's spans come in pipeline order: each read is
+	// followed by its verify, then by its device_model span.
+	last := make(map[float64]string)
+	var models int
+	for _, ev := range events {
+		if ev.Ph != "X" {
+			continue
+		}
+		switch ev.Name {
+		case "read", "verify", "device_model":
+			prev := last[ev.Tid]
+			want := map[string]string{"verify": "read", "device_model": "verify"}[ev.Name]
+			if want != "" && prev != want {
+				t.Errorf("lane %v: %q span follows %q, want %q", ev.Tid, ev.Name, prev, want)
+			}
+			if ev.Name == "device_model" {
+				models++
+			}
+			last[ev.Tid] = ev.Name
+		}
+	}
+	if models == 0 {
+		t.Error("trace has no device_model span")
+	}
+}

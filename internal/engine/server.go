@@ -403,16 +403,16 @@ type Server struct {
 	workerWG  sync.WaitGroup
 	closeOnce sync.Once
 
-	// stripeBufs recycles page buffers per page size: the pool's evict
-	// observer feeds frames back, workers draw read buffers out. At steady
-	// state (pool full, every load evicting) the read path allocates
-	// nothing, which matters on the multi-table bench where stripe churn
-	// is hundreds of MiB per run. Coalesced multi-page reads allocate one
-	// slab and sub-slice it; the sub-slices recycle like any other page
-	// buffer of their size. Workers read the map without the server lock,
+	// stripeBufs holds one recycle list per page size: workers draw a
+	// standalone buffer per page they read (coalesced runs included), and
+	// the pool's evict observer and aborted loads hand buffers back. Every
+	// buffer is thus resident, in flight or on its list, so at steady state
+	// (pool full, every load evicting) the read path allocates nothing and
+	// the buffers ever allocated stay bounded by the pool's frames plus the
+	// in-flight loads' pages. Workers read the map without the server lock,
 	// so a runtime Attach introducing a new page size publishes a fresh
 	// copy through the atomic pointer instead of mutating in place.
-	stripeBufs atomic.Pointer[map[int64]*sync.Pool]
+	stripeBufs atomic.Pointer[map[int64]*pageBufs]
 
 	// loadHook, when set (tests only), runs in a worker goroutine between
 	// the unlocked read and the locked completion of every load — the seam
@@ -472,7 +472,7 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 		MeasureScheduling: cfg.MeasureScheduling,
 	})
 	s.mgr.SetMetrics(managerMetrics(cfg.Obs))
-	empty := make(map[int64]*sync.Pool)
+	empty := make(map[int64]*pageBufs)
 	s.stripeBufs.Store(&empty)
 	for i, tf := range tfs {
 		name := fmt.Sprintf("%s#%d", tf.Layout().Table().Name, i)
@@ -488,11 +488,7 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	frames := int(cfg.BufferBytes/minPage) + cfg.InFlightDepth*NumCols + len(tfs) + attachFrameSlack
 	s.pool = bufferpool.New(frames, bufferpool.LRU, s.readPage)
 	s.pool.SetMetrics(poolMetrics(cfg.Obs))
-	s.pool.SetEvictObserver(func(_ bufferpool.PageID, data []byte) {
-		if p := s.bufPool(int64(len(data))); p != nil {
-			p.Put(data)
-		}
-	})
+	s.pool.SetEvictObserver(func(_ bufferpool.PageID, data []byte) { s.recycle(data) })
 	for i := 0; i < cfg.InFlightDepth; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -538,26 +534,62 @@ func (s *Server) newTable(idx int, name string, tf *TableFile) *serverTable {
 	return t
 }
 
-// bufPool returns the recycle pool for page buffers of the given size, or
+// pageBufs is the recycle list of one page size. Unlike a sync.Pool it
+// never drops a buffer (not at GC, not under the race detector), so a
+// buffer is allocated only when every buffer of its size is resident or in
+// flight, and the list's retained memory is bounded by the buffer pool it
+// feeds.
+type pageBufs struct {
+	size         int64
+	gets, allocs *obs.Counter
+	mu           sync.Mutex
+	free         [][]byte
+}
+
+// get draws a buffer, allocating one only when the list is empty.
+func (b *pageBufs) get() []byte {
+	b.gets.Inc()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if n := len(b.free); n > 0 {
+		buf := b.free[n-1]
+		b.free = b.free[:n-1]
+		return buf
+	}
+	b.allocs.Inc()
+	return make([]byte, b.size)
+}
+
+// put returns a buffer drawn by get.
+func (b *pageBufs) put(buf []byte) {
+	b.mu.Lock()
+	b.free = append(b.free, buf)
+	b.mu.Unlock()
+}
+
+// bufPool returns the recycle list for page buffers of the given size, or
 // nil if no attached table uses it. Safe without the server lock: the map
 // behind the atomic pointer is never mutated after publication.
-func (s *Server) bufPool(size int64) *sync.Pool {
+func (s *Server) bufPool(size int64) *pageBufs {
 	return (*s.stripeBufs.Load())[size]
 }
 
-// addStripeSizes publishes recycle pools for any of tf's page sizes not yet
+// recycle returns a page buffer drawn from a recycle list to that list.
+func (s *Server) recycle(buf []byte) { s.bufPool(int64(len(buf))).put(buf) }
+
+// addStripeSizes publishes recycle lists for any of tf's page sizes not yet
 // registered, copy-on-write so unlocked workers keep reading a consistent
 // map. Callers hold mu (which serialises writers).
 func (s *Server) addStripeSizes(tf *TableFile) {
 	old := *s.stripeBufs.Load()
-	var fresh map[int64]*sync.Pool
+	var fresh map[int64]*pageBufs
 	for j := 0; j < NumCols; j++ {
 		size := tf.ColStripeBytes(j)
 		if _, ok := old[size]; ok {
 			continue
 		}
 		if fresh == nil {
-			fresh = make(map[int64]*sync.Pool, len(old)+NumCols)
+			fresh = make(map[int64]*pageBufs, len(old)+NumCols)
 			for k, v := range old {
 				fresh[k] = v
 			}
@@ -565,10 +597,7 @@ func (s *Server) addStripeSizes(tf *TableFile) {
 		if _, ok := fresh[size]; ok {
 			continue
 		}
-		fresh[size] = &sync.Pool{New: func() any {
-			s.o.recycleAllocs.Inc()
-			return make([]byte, size)
-		}}
+		fresh[size] = &pageBufs{size: size, gets: s.o.recycleGets, allocs: s.o.recycleAllocs}
 	}
 	if fresh != nil {
 		s.stripeBufs.Store(&fresh)
@@ -588,10 +617,9 @@ func (s *Server) readPage(id bufferpool.PageID) ([]byte, error) {
 	}
 	t := s.tables[int(int64(id)/pageStride)]
 	local := int64(id) % pageStride
-	s.o.recycleGets.Inc()
-	buf := s.bufPool(t.tf.PageBytes(local)).Get().([]byte)
+	buf := s.bufPool(t.tf.PageBytes(local)).get()
 	if err := t.tf.ReadPage(local, buf); err != nil {
-		s.bufPool(int64(len(buf))).Put(buf)
+		s.recycle(buf)
 		return nil, err
 	}
 	return buf, nil
@@ -876,18 +904,21 @@ func (s *Server) worker() {
 	for job := range s.loadCh {
 		bufs, iost, err := s.readMissing(job.t, job.missing)
 		if job.lane != (obs.Track{}) {
-			// Lane spans: queue wait, then the coalesced read with its
-			// accumulated verify time rendered as a trailing span.
+			// Lane spans: queue wait, then the load's read, verify,
+			// decompress and device-model times in the order each page
+			// run passes through them, accumulated over its runs.
 			if iost.bytes > 0 {
 				job.lane.SpanAt("queued", job.issuedAt, iost.start, nil)
-				vStart := iost.end.Add(-iost.verify - iost.decomp)
-				job.lane.SpanAt("read", iost.start, vStart, obs.Args{"bytes": iost.bytes, "disk": iost.diskBytes})
+				readEnd := iost.end.Add(-iost.verify - iost.decomp - iost.model)
+				job.lane.SpanAt("read", iost.start, readEnd, obs.Args{"bytes": iost.bytes, "disk": iost.diskBytes})
+				verifyEnd := readEnd.Add(iost.verify)
+				job.lane.SpanAt("verify", readEnd, verifyEnd, nil)
+				decompEnd := verifyEnd.Add(iost.decomp)
 				if iost.decomp > 0 {
-					dEnd := vStart.Add(iost.decomp)
-					job.lane.SpanAt("decompress", vStart, dEnd, nil)
-					job.lane.SpanAt("verify", dEnd, iost.end, nil)
-				} else {
-					job.lane.SpanAt("verify", vStart, iost.end, nil)
+					job.lane.SpanAt("decompress", verifyEnd, decompEnd, nil)
+				}
+				if iost.model > 0 {
+					job.lane.SpanAt("device_model", decompEnd, iost.end, nil)
 				}
 			} else {
 				job.lane.Span("queued", job.issuedAt, nil)
@@ -1045,9 +1076,7 @@ func (s *Server) abortJob(job loadJob, cause error) {
 		for id := first; id < first+bufferpool.PageID(count); id++ {
 			if b, ok := s.staging[id]; ok {
 				delete(s.staging, id)
-				if p := s.bufPool(int64(len(b))); p != nil {
-					p.Put(b)
-				}
+				s.recycle(b)
 			}
 		}
 	})
@@ -1093,42 +1122,43 @@ func (s *Server) quarantineTargets(job loadJob, cause error) []partID {
 
 // ioStats carries one readMissing call's measurements out for metric
 // observation and trace rendering: the read's wall interval, the bytes
-// handed back, and the slices of the interval spent verifying checksums
-// and decompressing v4 extents (accumulated across the call's page runs).
-// diskBytes is what the device transferred — the stored (compressed on v4)
-// widths — and is counted even when observability is off, because the
-// per-table disk accounting feeds TableStats; everything else is zero when
-// the call had nothing to read or observability is off.
+// handed back, and the slices of the interval spent verifying checksums,
+// decompressing v4 extents and sleeping in the device model (accumulated
+// across the call's page runs). diskBytes is what the device transferred —
+// the stored (compressed on v4) widths — and is counted even when
+// observability is off, because the per-table disk accounting feeds
+// TableStats; everything else is zero when the call had nothing to read or
+// observability is off.
 type ioStats struct {
 	start, end time.Time
 	bytes      int64 // decompressed bytes staged into page buffers
 	diskBytes  int64 // stored bytes the device actually served
 	verify     time.Duration
 	decomp     time.Duration
+	model      time.Duration // ReadBandwidth sleep
 }
 
 // readMissing reads the listed pages from the table file into recycled
 // page buffers. Runs of consecutive page indexes — an NSM chunk's stripes,
 // or the multi-stripe extent of a wide DSM column — are coalesced into a
-// single positioned read (one slab, sub-sliced per page), so a part load
-// costs one pread per on-disk extent rather than one per stripe. A failing
-// run does not stop the others: the successfully read pages come back
-// alongside the first error, so the retry loop stages them and each retry
-// re-reads only what is still missing — every faulty extent advances
-// through its transient-fault window in parallel instead of one extent per
-// retry. Called without the server lock; multiple workers read concurrently
-// through ReadAt. When observability is enabled it also observes the read,
-// verify and byte metrics and reports its measurements.
+// single positioned read, so a part load costs one pread per on-disk extent
+// rather than one per stripe. A failing run does not stop the others: the
+// successfully read pages come back alongside the first error, so the retry
+// loop stages them and each retry re-reads only what is still missing —
+// every faulty extent advances through its transient-fault window in
+// parallel instead of one extent per retry. Called without the server lock;
+// multiple workers read concurrently through ReadAt. When observability is
+// enabled it also observes the read, verify, decompress, device-model and
+// byte metrics and reports its measurements; the read time is what is left
+// of the wall interval after the other three, so on a v3 table it includes
+// copying the stored pages into their buffers.
 func (s *Server) readMissing(t *serverTable, missing []bufferpool.PageID) (map[bufferpool.PageID][]byte, ioStats, error) {
 	if len(missing) == 0 {
 		return nil, ioStats{}, nil
 	}
 	var iost ioStats
-	var verify, decomp *time.Duration
 	if s.o.enabled {
 		iost.start = time.Now()
-		verify = &iost.verify
-		decomp = &iost.decomp
 	}
 	out := make(map[bufferpool.PageID][]byte, len(missing))
 	var firstErr error
@@ -1137,7 +1167,7 @@ func (s *Server) readMissing(t *serverTable, missing []bufferpool.PageID) (map[b
 		for j < len(missing) && missing[j] == missing[j-1]+1 {
 			j++
 		}
-		if err := s.readRun(t, missing[i:j], out, verify, decomp, &iost.diskBytes); err != nil && firstErr == nil {
+		if err := s.readRun(t, missing[i:j], out, &iost); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		i = j
@@ -1150,51 +1180,50 @@ func (s *Server) readMissing(t *serverTable, missing []bufferpool.PageID) (map[b
 		}
 		s.o.readBytes.Add(iost.diskBytes)
 		s.o.decodedBytes.Add(iost.bytes)
-		s.o.readSeconds.Observe((iost.end.Sub(iost.start) - iost.verify - iost.decomp).Seconds())
+		s.o.readSeconds.Observe((iost.end.Sub(iost.start) - iost.verify - iost.decomp - iost.model).Seconds())
 		s.o.verifySeconds.Observe(iost.verify.Seconds())
 		if t.tf.Compressed() {
 			s.o.decompressSeconds.Observe(iost.decomp.Seconds())
+		}
+		if s.cfg.ReadBandwidth > 0 {
+			s.o.modelSeconds.Observe(iost.model.Seconds())
 		}
 	}
 	return out, iost, firstErr
 }
 
-// readRun reads one run of consecutive pages: a single page draws its
-// buffer from the recycle pool; a longer run is one coalesced positioned
-// read into a slab whose per-page sub-slices enter the recycle economy on
-// eviction like any other page buffer. Buffers are always decompressed
+// readRun reads one run of consecutive pages with one positioned read,
+// every page into its own buffer drawn from the recycle list of its size —
+// the same for a single page and for a whole NSM chunk, so every buffer the
+// pool evicts can carry a later load. Buffers are always decompressed
 // (fixed-width) pages — on a v4 table the read path inflates the stored
 // extents on the way in — while disk, the device-bandwidth model and
-// diskBytes pay the stored widths. verify and decomp, when non-nil,
-// accumulate the wall time spent on checksum verification and extent
-// decompression.
-func (s *Server) readRun(t *serverTable, run []bufferpool.PageID, out map[bufferpool.PageID][]byte, verify, decomp *time.Duration, diskBytes *int64) error {
+// iost.diskBytes pay the stored widths. With observability on, the verify,
+// decompress and device-model times accumulate into iost.
+func (s *Server) readRun(t *serverTable, run []bufferpool.PageID, out map[bufferpool.PageID][]byte, iost *ioStats) error {
 	start := time.Now()
 	first := int64(run[0]) % pageStride
 	stored := t.tf.StoredRunBytes(first, len(run))
-	*diskBytes += stored
-	if len(run) == 1 {
-		s.o.recycleGets.Inc()
-		buf := s.bufPool(t.tf.PageBytes(first)).Get().([]byte)
-		if err := t.tf.readPageRange(first, 1, buf, verify, decomp); err != nil {
-			return fmt.Errorf("engine: read %s page %d: %w", t.name, first, err)
+	iost.diskBytes += stored
+	var verify, decomp *time.Duration
+	if s.o.enabled {
+		verify = &iost.verify
+		if t.tf.Compressed() {
+			decomp = &iost.decomp
 		}
-		out[run[0]] = buf
-	} else {
-		var total int64
-		for _, id := range run {
-			total += t.tf.PageBytes(int64(id) % pageStride)
+	}
+	bufs := make([][]byte, len(run))
+	for i := range bufs {
+		bufs[i] = s.bufPool(t.tf.PageBytes(first + int64(i))).get()
+	}
+	if err := t.tf.readPages(first, bufs, verify, decomp); err != nil {
+		for _, b := range bufs {
+			s.recycle(b)
 		}
-		slab := make([]byte, total)
-		if err := t.tf.readPageRange(first, len(run), slab, verify, decomp); err != nil {
-			return fmt.Errorf("engine: read %s pages [%d,%d): %w", t.name, first, first+int64(len(run)), err)
-		}
-		var off int64
-		for _, id := range run {
-			n := t.tf.PageBytes(int64(id) % pageStride)
-			out[id] = slab[off : off+n : off+n]
-			off += n
-		}
+		return fmt.Errorf("engine: read %s pages [%d,%d): %w", t.name, first, first+int64(len(run)), err)
+	}
+	for i, id := range run {
+		out[id] = bufs[i]
 	}
 	if bw := s.cfg.ReadBandwidth; bw > 0 {
 		// Device model: this load stream moves at bw bytes/s over the
@@ -1203,6 +1232,7 @@ func (s *Server) readRun(t *serverTable, run []bufferpool.PageID, out map[buffer
 		if budget := time.Duration(float64(stored) / float64(bw) * float64(time.Second)); budget > 0 {
 			if spent := time.Since(start); spent < budget {
 				time.Sleep(budget - spent)
+				iost.model += time.Since(start) - spent
 			}
 		}
 	}

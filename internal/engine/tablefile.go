@@ -250,27 +250,27 @@ type TableFile struct {
 	version        int
 	layout         storage.Layout
 	numChunks      int
-	dataOff        int64          // data region start: header + checksum table (+ v4 directories)
-	sums           []uint64       // per-page checksums (page-index order)
-	stripeOff      [NumCols]int64 // NSM: stripe j's offset within a chunk
-	colBase        [NumCols]int64 // DSM: column j's offset within the data region
+	dataOff        int64    // data region start: header + checksum table (+ v4 directories)
+	sums           []uint64 // per-page checksums (page-index order)
 
-	// v4 (compressed) state. schemes holds each column's compress.Scheme
-	// byte (schemeIdentity for raw-stored columns); extLen/extOff are the
-	// stored length and data-region offset of every page in page-index
-	// order (offsets are prefix sums, so consecutive pages stay contiguous
-	// and coalesced run reads still work); zones are the persisted
-	// per-column chunk bounds (nil for the comment filler and on v3 files).
+	// Extent geometry, shared by both versions: a v3 file is a v4 file
+	// whose every column is stored under schemeIdentity. schemes holds each
+	// column's compress.Scheme byte (schemeIdentity for raw-stored columns);
+	// extLen/extOff are the stored length and data-region offset of every
+	// page in page-index order (offsets are prefix sums, so consecutive
+	// pages stay contiguous and coalesced run reads still work); zones are
+	// the persisted per-column chunk bounds (nil for the comment filler and
+	// on v3 files).
 	schemes [NumCols]byte
 	extLen  []int64
 	extOff  []int64
 	zones   [NumCols]*storage.ZoneMap
 	// decScratch pools the per-read stored-byte and decoded-value scratch
-	// the v4 read path burns through one of per coalesced run.
+	// the read path burns through one of per coalesced run.
 	decScratch sync.Pool
 }
 
-// decBuf is the pooled per-read scratch of the v4 decode path.
+// decBuf is the pooled per-read scratch of the read path.
 type decBuf struct {
 	raw  []byte
 	vals []int64
@@ -335,12 +335,7 @@ func (t *TableFile) PageBytes(p int64) int64 { return t.ColStripeBytes(t.pageCol
 // StoredPageBytes returns the bytes page p occupies on disk: the compressed
 // extent length on v4 files, PageBytes otherwise. This is what the device
 // (and the -read-mbps bandwidth model) actually pays per page.
-func (t *TableFile) StoredPageBytes(p int64) int64 {
-	if t.version == tableVersionCompressed {
-		return t.extLen[p]
-	}
-	return t.PageBytes(p)
-}
+func (t *TableFile) StoredPageBytes(p int64) int64 { return t.extLen[p] }
 
 // StoredRunBytes sums StoredPageBytes over a run of consecutive pages.
 func (t *TableFile) StoredRunBytes(first int64, count int) int64 {
@@ -357,18 +352,13 @@ func (t *TableFile) Compressed() bool { return t.version == tableVersionCompress
 // StoredBytes returns the size of the on-disk data region: the sum of every
 // stored extent. On v3 files this equals NumChunks×ChunkBytes; on v4 files
 // it is the compressed footprint the ratio reports compare against raw.
-func (t *TableFile) StoredBytes() int64 {
-	if t.version == tableVersionCompressed {
-		return t.StoredRunBytes(0, int(t.NumPages()))
-	}
-	return int64(t.numChunks) * t.ChunkBytes()
-}
+func (t *TableFile) StoredBytes() int64 { return t.StoredRunBytes(0, int(t.NumPages())) }
 
 // ColScheme returns the compress.Scheme column col's extents are stored
 // under, with ok=false when the column is stored as raw stripe bytes
 // (identity columns on v4 files, and every column on v3 files).
 func (t *TableFile) ColScheme(col int) (compress.Scheme, bool) {
-	if t.version != tableVersionCompressed || t.schemes[col] == schemeIdentity {
+	if t.schemes[col] == schemeIdentity {
 		return 0, false
 	}
 	return compress.Scheme(t.schemes[col]), true
@@ -389,18 +379,7 @@ func (t *TableFile) ZoneMap(col int) *storage.ZoneMap {
 // column in DSM, and chunks/columns tile the file — and the v4 extent
 // directory is built as prefix sums in page order), which is what lets
 // ReadPageRange coalesce a run of pages into one positioned read.
-func (t *TableFile) pageOffset(p int64) int64 {
-	if t.version == tableVersionCompressed {
-		return t.extOff[p]
-	}
-	if t.format == DSM {
-		col := int(p / int64(t.numChunks))
-		chunk := p % int64(t.numChunks)
-		return t.colBase[col] + chunk*t.ColStripeBytes(col)
-	}
-	chunk := p / NumCols
-	return chunk*t.ChunkBytes() + t.stripeOff[p%NumCols]
-}
+func (t *TableFile) pageOffset(p int64) int64 { return t.extOff[p] }
 
 // PartPages returns the page run backing one ABM part: the whole chunk
 // (col == -1, NumCols pages) in NSM, one column stripe in DSM.
@@ -445,14 +424,9 @@ func (t *TableFile) ReadPage(p int64, buf []byte) error {
 // a mismatch (or a read error) comes back tagged with the failing page as a
 // *PageError, so callers can retry or quarantine precisely.
 func (t *TableFile) ReadPageRange(first int64, count int, buf []byte) error {
-	return t.readPageRange(first, count, buf, nil, nil)
-}
-
-// readPageRange is ReadPageRange with wall-time collectors: when verify or
-// decomp are non-nil, the time spent in checksum verification and (on v4
-// files) extent decompression is added to them, so the instrumented load
-// path can report read, verify and decompress latency separately.
-func (t *TableFile) readPageRange(first int64, count int, buf []byte, verify, decomp *time.Duration) error {
+	if first < 0 || count < 0 || first+int64(count) > t.NumPages() {
+		return fmt.Errorf("engine: ReadPageRange pages [%d,%d) outside the file's %d", first, first+int64(count), t.NumPages())
+	}
 	var want int64
 	for p := first; p < first+int64(count); p++ {
 		want += t.PageBytes(p)
@@ -460,44 +434,29 @@ func (t *TableFile) readPageRange(first int64, count int, buf []byte, verify, de
 	if int64(len(buf)) != want {
 		return fmt.Errorf("engine: ReadPageRange buffer %d bytes, want %d", len(buf), want)
 	}
-	if t.version == tableVersionCompressed {
-		return t.readPageRangeV4(first, count, buf, verify, decomp)
-	}
-	if _, err := t.r.ReadAt(buf, t.dataOff+t.pageOffset(first)); err != nil {
-		return &PageError{Page: first, Err: err}
-	}
-	var vstart time.Time
-	if verify != nil {
-		vstart = time.Now()
-	}
+	dst := make([][]byte, count)
 	var off int64
-	for p := first; p < first+int64(count); p++ {
-		n := t.PageBytes(p)
-		if got := pageChecksum(buf[off : off+n]); got != t.sums[p] {
-			if verify != nil {
-				*verify += time.Since(vstart)
-			}
-			chunk, col := t.PagePart(p)
-			return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): crc %#x, want %#x: %w",
-				t.path, p, chunk, col, got, t.sums[p], ErrChecksum)}
-		}
+	for i := range dst {
+		n := t.PageBytes(first + int64(i))
+		dst[i] = buf[off : off+n]
 		off += n
 	}
-	if verify != nil {
-		*verify += time.Since(vstart)
-	}
-	return nil
+	return t.readPages(first, dst, nil, nil)
 }
 
-// readPageRangeV4 is the compressed read path: one positioned read of the
-// coalesced stored run into pooled scratch, per-extent CRC over the stored
-// bytes, then per-extent decode into the caller's fixed-width page buffer.
-// CRC failures surface as ErrChecksum and post-CRC decode failures as
+// readPages is the one page-range reader behind every table read: one
+// positioned read of the stored run starting at page first into pooled
+// scratch, then per page a CRC over the stored bytes and a copy (identity
+// columns, so every page of a v3 file) or a decode (PFOR, PFOR-DELTA,
+// PDICT) into dst[i], which must be exactly PageBytes(first+i) long. CRC
+// failures surface as ErrChecksum and post-CRC decode failures as
 // ErrCorrupt, both wrapped in a *PageError naming the precise page, so the
-// engine retries or quarantines exactly the affected (chunk, column) part
-// and a corrupt extent can never decode into wrong tuples.
-func (t *TableFile) readPageRangeV4(first int64, count int, buf []byte, verify, decomp *time.Duration) error {
-	stored := t.StoredRunBytes(first, count)
+// engine retries or quarantines exactly the affected part and a corrupt
+// extent can never decode into wrong tuples. When verify or decomp are
+// non-nil, the time spent in checksum verification and in the per-page
+// copy or decode is added to them.
+func (t *TableFile) readPages(first int64, dst [][]byte, verify, decomp *time.Duration) error {
+	stored := t.StoredRunBytes(first, len(dst))
 	sc, _ := t.decScratch.Get().(*decBuf)
 	if sc == nil {
 		sc = &decBuf{}
@@ -507,12 +466,14 @@ func (t *TableFile) readPageRangeV4(first int64, count int, buf []byte, verify, 
 		sc.raw = make([]byte, stored)
 	}
 	raw := sc.raw[:stored]
-	if _, err := t.r.ReadAt(raw, t.dataOff+t.extOff[first]); err != nil {
+	if _, err := t.r.ReadAt(raw, t.dataOff+t.pageOffset(first)); err != nil {
 		return &PageError{Page: first, Err: err}
 	}
-	var off, roff int64
-	for p := first; p < first+int64(count); p++ {
+	var roff int64
+	for i, page := range dst {
+		p := first + int64(i)
 		ext := raw[roff : roff+t.extLen[p]]
+		roff += t.extLen[p]
 		var vstart time.Time
 		if verify != nil {
 			vstart = time.Now()
@@ -526,14 +487,12 @@ func (t *TableFile) readPageRangeV4(first int64, count int, buf []byte, verify, 
 			return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): crc %#x, want %#x: %w",
 				t.path, p, chunk, col, got, t.sums[p], ErrChecksum)}
 		}
-		n := t.PageBytes(p)
-		dst := buf[off : off+n]
 		var dstart time.Time
 		if decomp != nil {
 			dstart = time.Now()
 		}
-		if t.schemes[col] == schemeIdentity {
-			copy(dst, ext)
+		if t.schemes[t.pageCol(p)] == schemeIdentity {
+			copy(page, ext)
 		} else {
 			vals, err := compress.DecodeIntsInto(sc.vals, ext)
 			if err != nil {
@@ -547,15 +506,13 @@ func (t *TableFile) readPageRangeV4(first int64, count int, buf []byte, verify, 
 				return &PageError{Page: p, Err: fmt.Errorf("engine: %s page %d (chunk %d, col %d): decoded %d values, want %d: %w",
 					t.path, p, chunk, col, len(vals), t.tuplesPerChunk, ErrCorrupt)}
 			}
-			for i, v := range vals {
-				binary.LittleEndian.PutUint64(dst[i*8:], uint64(v))
+			for k, v := range vals {
+				binary.LittleEndian.PutUint64(page[k*8:], uint64(v))
 			}
 		}
 		if decomp != nil {
 			*decomp += time.Since(dstart)
 		}
-		off += n
-		roff += t.extLen[p]
 	}
 	return nil
 }
@@ -872,9 +829,10 @@ func CreateCompressed(path string, rows, tuplesPerChunk int64, seed uint64) (*Ta
 	return t, nil
 }
 
-// newTableFile assembles the in-memory descriptor: layout plus the
-// per-format stripe position tables (and, for v4, the empty extent
-// directory the creator or opener fills in).
+// newTableFile assembles the in-memory descriptor: layout plus the extent
+// geometry of a raw file — every column identity-stored, every extent one
+// full stripe in page order. The v4 creator and opener then overwrite the
+// schemes and extent directory with the stored ones.
 func newTableFile(f *os.File, path string, format Format, rows, tuplesPerChunk int64, seed uint64, version int) *TableFile {
 	t := &TableFile{
 		f: f, r: f, path: path, rows: rows, tuplesPerChunk: tuplesPerChunk,
@@ -887,19 +845,18 @@ func newTableFile(f *os.File, path string, format Format, rows, tuplesPerChunk i
 		// v4 interposes the scheme table, the per-extent length directory
 		// and the zonemap footer between the checksum table and the data.
 		t.dataOff += schemeTableBytes + t.NumPages()*8 + int64(NumCols)*int64(t.numChunks)*16
-		t.extLen = make([]int64, t.NumPages())
-		t.extOff = make([]int64, t.NumPages())
 	}
 	t.sums = make([]uint64, t.NumPages())
-	var off int64
-	for j := 0; j < NumCols; j++ {
-		t.stripeOff[j] = off
-		off += t.ColStripeBytes(j)
+	for j := range t.schemes {
+		t.schemes[j] = schemeIdentity
 	}
-	off = 0
-	for j := 0; j < NumCols; j++ {
-		t.colBase[j] = off
-		off += int64(t.numChunks) * t.ColStripeBytes(j)
+	t.extLen = make([]int64, t.NumPages())
+	t.extOff = make([]int64, t.NumPages())
+	var off int64
+	for p := range t.extLen {
+		t.extLen[p] = t.PageBytes(int64(p))
+		t.extOff[p] = off
+		off += t.extLen[p]
 	}
 	return t
 }
@@ -970,14 +927,13 @@ func Open(path string) (*TableFile, error) {
 	for p := range t.sums {
 		t.sums[p] = binary.LittleEndian.Uint64(meta[p*8:])
 	}
-	want := t.dataOff + int64(t.numChunks)*t.ChunkBytes()
 	if t.version == tableVersionCompressed {
 		if err := t.loadV4Directories(meta); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("engine: %s: %w", path, err)
 		}
-		want = t.dataOff + t.StoredRunBytes(0, int(t.NumPages()))
 	}
+	want := t.dataOff + t.StoredBytes()
 	if st.Size() < want {
 		f.Close()
 		return nil, fmt.Errorf("engine: %s: %d bytes, want %d: %w", path, st.Size(), want, ErrTruncated)

@@ -58,6 +58,9 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	if err := <-bDone; err != nil {
 		t.Fatalf("queued session: %v", err)
 	}
+	// A client returns on its trailer, before the handler releases its gate
+	// slot: wait for the slot, so D is admitted without queueing.
+	waitFor(t, func() bool { return fx.f.gate.status().live == 0 })
 
 	// D: interactive session straight through the free slot.
 	if _, err := RunScan(context.Background(), nil, fx.url, ScanParams{
@@ -65,6 +68,8 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatalf("interactive session: %v", err)
 	}
+	// Likewise wait for D's slot before scraping the live gauge.
+	waitFor(t, func() bool { return fx.f.gate.status().live == 0 })
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {

@@ -74,6 +74,7 @@ type tierCounters struct {
 	shed             atomic.Int64
 	deadlineExceeded atomic.Int64
 	disconnected     atomic.Int64
+	failed           atomic.Int64
 	completed        atomic.Int64
 }
 
@@ -84,6 +85,7 @@ type metrics struct {
 	shed         *obs.CounterVec
 	deadline     *obs.CounterVec
 	disconnected *obs.CounterVec
+	failed       *obs.CounterVec
 	completed    *obs.CounterVec
 	depth        *obs.GaugeVec
 	live         *obs.Gauge
@@ -96,6 +98,7 @@ func newMetrics(r *obs.Registry) *metrics {
 		shed:         r.CounterVec("coopscan_serve_sessions_shed_total", "Scan sessions shed with a retry-after hint.", "tier"),
 		deadline:     r.CounterVec("coopscan_serve_sessions_deadline_exceeded_total", "Scan sessions that hit their deadline queued or mid-scan.", "tier"),
 		disconnected: r.CounterVec("coopscan_serve_sessions_disconnected_total", "Scan sessions whose client vanished mid-stream.", "tier"),
+		failed:       r.CounterVec("coopscan_serve_sessions_failed_total", "Scan sessions the engine failed mid-scan (e.g. a quarantined chunk, engine shutdown).", "tier"),
 		completed:    r.CounterVec("coopscan_serve_sessions_completed_total", "Scan sessions that streamed their full range.", "tier"),
 		depth:        r.GaugeVec("coopscan_serve_queue_depth", "Sessions waiting in the admission queue.", "tier"),
 		live:         r.Gauge("coopscan_serve_live_sessions", "Scan sessions currently admitted."),
@@ -196,6 +199,7 @@ type TierStatus struct {
 	Shed             int64 `json:"shed"`
 	DeadlineExceeded int64 `json:"deadline_exceeded"`
 	Disconnected     int64 `json:"disconnected"`
+	Failed           int64 `json:"failed"`
 	Completed        int64 `json:"completed"`
 	QueueDepth       int   `json:"queue_depth"`
 }
@@ -229,6 +233,7 @@ func (f *Frontend) Sessions() SessionsStatus {
 			Shed:             c.shed.Load(),
 			DeadlineExceeded: c.deadlineExceeded.Load(),
 			Disconnected:     c.disconnected.Load(),
+			Failed:           c.failed.Load(),
 			Completed:        c.completed.Load(),
 			QueueDepth:       gs.depth[t],
 		}
@@ -638,6 +643,11 @@ func (f *Frontend) runSession(ctx context.Context, cancel context.CancelFunc, w 
 			tc.disconnected.Add(1)
 			if f.m != nil {
 				f.m.disconnected.With(tier.String()).Inc()
+			}
+		default:
+			tc.failed.Add(1)
+			if f.m != nil {
+				f.m.failed.With(tier.String()).Inc()
 			}
 		}
 		writeLine(Trailer{Error: err.Error(), Chunks: chunks, Tuples: tuples})
