@@ -10,15 +10,15 @@ import (
 )
 
 // runCreate is the `coopscan create` subcommand: it generates a table file
-// ahead of time — NSM, DSM, or compressed DSM (v4) — so live/multi/serve
-// runs can point -file at it instead of generating on first use. For
-// compressed tables it reports the per-column schemes and the stored
-// footprint against the raw DSM equivalent.
+// ahead of time — NSM, DSM, or compressed DSM — so serve runs can point
+// -file at it instead of generating on first use. For compressed tables it
+// reports the per-column schemes and the stored footprint against the raw
+// DSM equivalent.
 func runCreate(args []string) {
 	fs := flag.NewFlagSet("create", flag.ExitOnError)
 	file := fs.String("file", "", "table file path to create (required; refuses to overwrite)")
 	dsm := fs.Bool("dsm", false, "store the table column-major (DSM)")
-	compress := fs.Bool("compress", false, "store DSM extents compressed with per-column schemes and zonemaps (v4; implies -dsm)")
+	compress := fs.Bool("compress", false, "store DSM extents compressed with per-column schemes and zonemaps (implies -dsm)")
 	rows := fs.Int64("rows", 1_500_000, "table rows")
 	tpc := fs.Int64("tuples-per-chunk", 32768, "tuples per chunk")
 	seed := fs.Uint64("seed", 1, "generator seed")

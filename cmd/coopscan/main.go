@@ -8,14 +8,13 @@
 //	coopscan -exp all -quick       # every experiment, scaled down
 //	coopscan -list                 # enumerate experiments
 //
-// The live subcommand runs the wall-clock engine over a real table file
-// instead of the simulator, and multi serves several tables from one
-// shared, arbitrated buffer budget:
+// The multi subcommand runs the wall-clock engine over real table files
+// instead of the simulator, serving them from one shared, arbitrated
+// buffer budget:
 //
-//	coopscan live                  # 8 streams, all policies, tmp table file
-//	coopscan live -policy relevance -streams 16 -buffer-mb 32
-//	coopscan live -dsm -compress -prune   # compressed v4 extents + zonemap pruning
-//	coopscan multi                 # 2 tables × 8 streams, shared budget
+//	coopscan multi                 # 2 tables × 8 streams, all policies, tmp files
+//	coopscan multi -tables 1 -policy relevance -streams 16 -buffer-mb 32
+//	coopscan multi -tables 1 -dsm -compress -prune   # compressed extents + zonemap pruning
 //	coopscan multi -tables 3 -inflight 8 -buffer-mb 48
 //
 // The create subcommand pre-generates a table file (NSM, DSM, or
@@ -90,10 +89,6 @@ func catalogue() []experiment {
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "create" {
 		runCreate(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "live" {
-		runLive(os.Args[2:])
 		return
 	}
 	if len(os.Args) > 1 && os.Args[1] == "multi" {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -11,12 +13,12 @@ import (
 	"coopscan/internal/core"
 	"coopscan/internal/engine"
 	"coopscan/internal/exec"
+	"coopscan/internal/iofault"
 )
 
-// runSpec parameterises one policy run of the shared live runner: the
-// tables to serve (one for `live`, several for `multi`), the server shape,
-// and the workload. Per-table workloads are seeded seed+table, so a
-// single-table run reproduces the historical `live` seeding exactly.
+// runSpec parameterises one policy run of the live runner: the tables to
+// serve, the server shape, and the workload. Per-table workloads are seeded
+// seed+table.
 type runSpec struct {
 	tfs          []*engine.TableFile
 	policy       core.Policy
@@ -36,8 +38,7 @@ type runSpec struct {
 // runPolicy builds one engine.Server over the spec's tables, drives the
 // planned workload (streams × queries per table, staggered starts) to
 // completion, and returns the outcomes with the server's final /statusz
-// snapshot. It is the one runner behind both the live and multi
-// subcommands.
+// snapshot. It is the runner behind the multi subcommand.
 func runPolicy(spec runSpec, rig *obsRig) (*runResult, error) {
 	cfg := engine.ServerConfig{
 		Policy:            spec.policy,
@@ -143,4 +144,82 @@ func parsePolicies(s string) ([]core.Policy, error) {
 		}
 	}
 	return nil, fmt.Errorf("unknown policy %q", s)
+}
+
+// applyFaultPlan parses a -fault-plan string and, when it injects anything,
+// installs one deterministic injector per table (seeded seed+i). Returns nil
+// injectors for an empty plan.
+func applyFaultPlan(planStr string, seed uint64, tfs ...*engine.TableFile) ([]*iofault.Injector, error) {
+	plan, err := iofault.ParsePlan(planStr)
+	if err != nil {
+		return nil, err
+	}
+	if plan.Zero() {
+		return nil, nil
+	}
+	injs := make([]*iofault.Injector, len(tfs))
+	for i, tf := range tfs {
+		i := i
+		tf.WrapReader(func(r io.ReaderAt) io.ReaderAt {
+			injs[i] = iofault.New(r, plan, seed+uint64(i))
+			return injs[i]
+		})
+	}
+	return injs, nil
+}
+
+// printInjectorStats reports the cumulative injection counters (all policy
+// runs of this invocation share the injectors, so transient windows carry
+// over exactly as they would on a real flaky device).
+func printInjectorStats(injs []*iofault.Injector) {
+	if injs == nil {
+		return
+	}
+	var total iofault.Stats
+	for _, inj := range injs {
+		st := inj.Stats()
+		total.Reads += st.Reads
+		total.Transients += st.Transients
+		total.Shorts += st.Shorts
+		total.Corruptions += st.Corruptions
+		total.Delays += st.Delays
+		total.BadReads += st.BadReads
+	}
+	fmt.Printf("injected: %d faults over %d reads (%d transient, %d short, %d corrupt, %d bad-range) + %d delays\n",
+		total.Injected(), total.Reads, total.Transients, total.Shorts, total.Corruptions, total.BadReads, total.Delays)
+}
+
+// openOrCreate opens the table file at path, generating it only when the
+// path does not exist yet. An existing file that fails to open (including a
+// file of an older format version), or that stores the other physical
+// format (including compressed vs raw), is an error — never overwritten
+// (the user may have pointed -file or -dir at something else entirely).
+func openOrCreate(path string, format engine.Format, compressed bool, rows, tpc int64, seed uint64) (*engine.TableFile, error) {
+	if _, err := os.Stat(path); err == nil {
+		tf, err := engine.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		if tf.Format() != format || tf.Compressed() != compressed {
+			tf.Close()
+			return nil, fmt.Errorf("%s stores %s, want %s (pick another path or remove it)",
+				path, describeFormat(tf), wantShape(format, compressed))
+		}
+		return tf, nil
+	} else if !os.IsNotExist(err) {
+		return nil, err
+	}
+	fmt.Printf("generating %s ...\n", path)
+	if compressed {
+		return engine.CreateCompressed(path, rows, tpc, seed)
+	}
+	return engine.CreateFormat(path, format, rows, tpc, seed)
+}
+
+// wantShape renders the requested physical shape for error messages.
+func wantShape(format engine.Format, compressed bool) string {
+	if compressed {
+		return fmt.Sprintf("%s compressed", format)
+	}
+	return format.String()
 }

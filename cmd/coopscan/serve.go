@@ -31,7 +31,7 @@ func runServe(args []string) {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	files := fs.String("file", "", "comma-separated table file paths (default: -tables generated files under $TMPDIR)")
 	dsm := fs.Bool("dsm", false, "store/open generated tables column-major (DSM)")
-	compressFlag := fs.Bool("compress", false, "store/open generated tables with compressed extents and zonemaps (v4; requires -dsm)")
+	compressFlag := fs.Bool("compress", false, "store/open generated tables with compressed extents (requires -dsm)")
 	prune := fs.Bool("prune", false, "register Q6-aggregating scans with predicate ranges so zonemaps prune non-matching chunks")
 	tables := fs.Int("tables", 1, "number of tables to generate when -file is empty")
 	rows := fs.Int64("rows", 1_500_000, "rows per generated table")

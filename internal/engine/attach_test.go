@@ -37,7 +37,7 @@ func TestAttachDetachLifecycle(t *testing.T) {
 		t.Fatalf("Lookup(extra) = %d, %v; want %d, true", got, ok, slot)
 	}
 	var got exec.Q6Result
-	if _, err := srv.Scan(slot, "s1", rangeSet(0, n), Q6Cols(), func(c int, d ChunkData) {
+	if _, err := srv.ScanWith(context.Background(), ScanRequest{Table: slot, Name: "s1", Ranges: rangeSet(0, n), Cols: Q6Cols()}, func(c int, d ChunkData) {
 		got.Add(Q6Chunk(d, exec.DefaultQ6()))
 	}); err != nil {
 		t.Fatalf("scan attached table: %v", err)
@@ -52,7 +52,7 @@ func TestAttachDetachLifecycle(t *testing.T) {
 	if _, ok := srv.Lookup("extra"); ok {
 		t.Fatal("detached name still resolves")
 	}
-	if _, err := srv.Scan(slot, "late", rangeSet(0, n), Q6Cols(), nil); !errors.Is(err, ErrTableDetached) {
+	if _, err := srv.ScanWith(context.Background(), ScanRequest{Table: slot, Name: "late", Ranges: rangeSet(0, n), Cols: Q6Cols()}, nil); !errors.Is(err, ErrTableDetached) {
 		t.Fatalf("scan against detached slot: err = %v, want ErrTableDetached", err)
 	}
 	if b := srv.Budgets(); b[slot] != 0 {
@@ -71,7 +71,7 @@ func TestAttachDetachLifecycle(t *testing.T) {
 		t.Fatalf("reattach reused tombstoned slot %d", slot)
 	}
 	got = exec.Q6Result{}
-	if _, err := srv.Scan(slot2, "s2", rangeSet(0, n), Q6Cols(), func(c int, d ChunkData) {
+	if _, err := srv.ScanWith(context.Background(), ScanRequest{Table: slot2, Name: "s2", Ranges: rangeSet(0, n), Cols: Q6Cols()}, func(c int, d ChunkData) {
 		got.Add(Q6Chunk(d, exec.DefaultQ6()))
 	}); err != nil {
 		t.Fatalf("scan reattached table: %v", err)
@@ -123,7 +123,7 @@ func TestDetachUnderTraffic(t *testing.T) {
 			if i%2 == 1 {
 				table = slot
 			}
-			_, errs[i] = srv.Scan(table, fmt.Sprintf("s%d", i), rangeSet(0, n), Q6Cols(), func(c int, d ChunkData) {
+			_, errs[i] = srv.ScanWith(context.Background(), ScanRequest{Table: table, Name: fmt.Sprintf("s%d", i), Ranges: rangeSet(0, n), Cols: Q6Cols()}, func(c int, d ChunkData) {
 				results[i].Add(Q6Chunk(d, exec.DefaultQ6()))
 			})
 		}()

@@ -5,6 +5,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -46,11 +47,7 @@ func TestEngineDSMAllPolicies(t *testing.T) {
 
 	for _, pol := range core.Policies {
 		t.Run(pol.String(), func(t *testing.T) {
-			eng, err := New(tf, Config{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
+			srv := newTestServer(t, ServerConfig{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()}, tf)
 			var wg sync.WaitGroup
 			errs := make([]error, streams)
 			for s := 0; s < streams; s++ {
@@ -70,7 +67,7 @@ func TestEngineDSMAllPolicies(t *testing.T) {
 						for c := start; c < end; c++ {
 							want.Merge(exec.Q1Chunk(gen, int64(c)*tpc, tf.Layout().ChunkTuples(c), 700, 2))
 						}
-						st, err := eng.Scan(fmt.Sprintf("s%d", s), rangeSet(start, end), Q1Cols(),
+						st, err := srv.ScanWith(context.Background(), ScanRequest{Name: fmt.Sprintf("s%d", s), Ranges: rangeSet(start, end), Cols: Q1Cols()},
 							func(c int, d ChunkData) {
 								if d.Cols() != Q1Cols() {
 									errs[s] = fmt.Errorf("stream %d: delivered cols %v, want %v", s, d.Cols(), Q1Cols())
@@ -97,7 +94,7 @@ func TestEngineDSMAllPolicies(t *testing.T) {
 							want.Add(q6Base[c])
 						}
 						var got exec.Q6Result
-						_, err := eng.Scan(fmt.Sprintf("s%d", s), rangeSet(start, end), Q6Cols(),
+						_, err := srv.ScanWith(context.Background(), ScanRequest{Name: fmt.Sprintf("s%d", s), Ranges: rangeSet(start, end), Cols: Q6Cols()},
 							func(c int, d ChunkData) {
 								if d.Has(ColTax) || d.Has(ColComment) {
 									errs[s] = fmt.Errorf("stream %d: undeclared column delivered", s)
@@ -120,8 +117,8 @@ func TestEngineDSMAllPolicies(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			stats := eng.Stats()
-			if stats.ABM.Loads == 0 || stats.Pool.Misses == 0 {
+			stats := srv.Stats()
+			if stats.Tables[0].ABM.Loads == 0 || stats.Pool.Misses == 0 {
 				t.Errorf("no real I/O recorded: %+v", stats)
 			}
 		})
@@ -148,10 +145,7 @@ func TestDSMColumnSelectiveIO(t *testing.T) {
 	useful := make(map[Format]int64)
 	for _, format := range []Format{NSM, DSM} {
 		tf := newTestFileFormat(t, format, rows, tpc, 17)
-		eng, err := New(tf, Config{Policy: core.Relevance, BufferBytes: 16 * tf.ChunkBytes()})
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := newTestServer(t, ServerConfig{Policy: core.Relevance, BufferBytes: 16 * tf.ChunkBytes()}, tf)
 		pred := exec.DefaultQ6()
 		var wg sync.WaitGroup
 		var mu sync.Mutex
@@ -160,7 +154,7 @@ func TestDSMColumnSelectiveIO(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				st, err := eng.Scan(fmt.Sprintf("q6-%d", s), rangeSet(0, tf.NumChunks()), Q6Cols(),
+				st, err := srv.ScanWith(context.Background(), ScanRequest{Name: fmt.Sprintf("q6-%d", s), Ranges: rangeSet(0, tf.NumChunks()), Cols: Q6Cols()},
 					func(_ int, d ChunkData) { Q6Chunk(d, pred) })
 				mu.Lock()
 				defer mu.Unlock()
@@ -172,8 +166,8 @@ func TestDSMColumnSelectiveIO(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		read[format] = eng.Stats().Pool.BytesLoaded
-		eng.Close()
+		read[format] = srv.Stats().Pool.BytesLoaded
+		srv.Close()
 	}
 	if read[NSM] == 0 || read[DSM] == 0 {
 		t.Fatalf("no bytes recorded: nsm=%d dsm=%d", read[NSM], read[DSM])
@@ -207,7 +201,7 @@ func TestDSMIndependentColumnEviction(t *testing.T) {
 
 	// Warm a two-column working set: a scan over {shipdate, tax}.
 	warm := storage.Cols(ColShipDate, ColTax)
-	if _, err := srv.Scan(0, "warm", rangeSet(0, tf.NumChunks()), warm, nil); err != nil {
+	if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "warm", Ranges: rangeSet(0, tf.NumChunks()), Cols: warm}, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -274,7 +268,7 @@ func TestServerMixedFormats(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				var got exec.Q6Result
-				st, err := srv.Scan(table, fmt.Sprintf("t%ds%d", table, s), rangeSet(0, 32), Q6Cols(),
+				st, err := srv.ScanWith(context.Background(), ScanRequest{Table: table, Name: fmt.Sprintf("t%ds%d", table, s), Ranges: rangeSet(0, 32), Cols: Q6Cols()},
 					func(c int, d ChunkData) { got.Add(Q6Chunk(d, pred)) })
 				mu.Lock()
 				defer mu.Unlock()
@@ -322,14 +316,14 @@ func TestScanValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := srv.Scan(tc.table, "bad", tc.ranges, tc.cols, nil)
+			_, err := srv.ScanWith(context.Background(), ScanRequest{Table: tc.table, Name: "bad", Ranges: tc.ranges, Cols: tc.cols}, nil)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("Scan error = %v, want %v", err, tc.want)
 			}
 		})
 	}
 	// A valid scan on the same server still works after the rejections.
-	if _, err := srv.Scan(0, "ok", rangeSet(0, tf.NumChunks()), Q6Cols(), nil); err != nil {
+	if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "ok", Ranges: rangeSet(0, tf.NumChunks()), Cols: Q6Cols()}, nil); err != nil {
 		t.Fatalf("valid scan after rejections: %v", err)
 	}
 }

@@ -5,6 +5,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -37,14 +38,10 @@ func TestEngineSingleScanAllPolicies(t *testing.T) {
 	}
 	for _, pol := range core.Policies {
 		t.Run(pol.String(), func(t *testing.T) {
-			eng, err := New(tf, Config{Policy: pol, BufferBytes: 8 * tf.ChunkBytes()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
+			srv := newTestServer(t, ServerConfig{Policy: pol, BufferBytes: 8 * tf.ChunkBytes()}, tf)
 			var got exec.Q6Result
 			delivered := 0
-			st, err := eng.Scan("q6", rangeSet(0, tf.NumChunks()), Q6Cols(), func(c int, d ChunkData) {
+			st, err := srv.ScanWith(context.Background(), ScanRequest{Name: "q6", Ranges: rangeSet(0, tf.NumChunks()), Cols: Q6Cols()}, func(c int, d ChunkData) {
 				got.Add(Q6Chunk(d, exec.DefaultQ6()))
 				delivered++
 			})
@@ -73,11 +70,7 @@ func TestEngineConcurrentStreams(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			// A buffer well below the table footprint forces eviction
 			// decisions while the streams race.
-			eng, err := New(tf, Config{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
+			srv := newTestServer(t, ServerConfig{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()}, tf)
 			var wg sync.WaitGroup
 			errs := make([]error, streams)
 			for s := 0; s < streams; s++ {
@@ -96,7 +89,7 @@ func TestEngineConcurrentStreams(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					var got exec.Q6Result
-					st, err := eng.Scan(fmt.Sprintf("s%d", s), rangeSet(start, end), Q6Cols(), func(c int, d ChunkData) {
+					st, err := srv.ScanWith(context.Background(), ScanRequest{Name: fmt.Sprintf("s%d", s), Ranges: rangeSet(start, end), Cols: Q6Cols()}, func(c int, d ChunkData) {
 						got.Add(Q6Chunk(d, exec.DefaultQ6()))
 					})
 					if err != nil {
@@ -117,8 +110,8 @@ func TestEngineConcurrentStreams(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			stats := eng.Stats()
-			if stats.ABM.Loads == 0 || stats.Pool.Misses == 0 {
+			stats := srv.Stats()
+			if stats.Tables[0].ABM.Loads == 0 || stats.Pool.Misses == 0 {
 				t.Errorf("no real I/O recorded: %+v", stats)
 			}
 		})
@@ -128,17 +121,13 @@ func TestEngineConcurrentStreams(t *testing.T) {
 func TestEngineEvictionUnderPressure(t *testing.T) {
 	const rows, tpc = 64_000, 1000 // 64 chunks
 	tf := newTestFile(t, rows, tpc, 3)
-	eng, err := New(tf, Config{Policy: core.Relevance, BufferBytes: 2 * tf.ChunkBytes()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	srv := newTestServer(t, ServerConfig{Policy: core.Relevance, BufferBytes: 2 * tf.ChunkBytes()}, tf)
 	want := exec.Q6Result{}
 	for _, r := range chunkQ6Baseline(t, tf) {
 		want.Add(r)
 	}
 	var got exec.Q6Result
-	if _, err := eng.Scan("tight", rangeSet(0, tf.NumChunks()), Q6Cols(), func(c int, d ChunkData) {
+	if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "tight", Ranges: rangeSet(0, tf.NumChunks()), Cols: Q6Cols()}, func(c int, d ChunkData) {
 		got.Add(Q6Chunk(d, exec.DefaultQ6()))
 	}); err != nil {
 		t.Fatalf("Scan: %v", err)
@@ -146,24 +135,21 @@ func TestEngineEvictionUnderPressure(t *testing.T) {
 	if got != want {
 		t.Errorf("Q6 = %+v, want %+v", got, want)
 	}
-	stats := eng.Stats()
-	if stats.ABM.Evictions == 0 {
-		t.Errorf("expected ABM evictions with a 2-chunk buffer, got %+v", stats.ABM)
+	stats := srv.Stats()
+	if stats.Tables[0].ABM.Evictions == 0 {
+		t.Errorf("expected ABM evictions with a 2-chunk buffer, got %+v", stats.Tables[0].ABM)
 	}
 }
 
 func TestEngineCloseUnblocksScan(t *testing.T) {
 	const rows, tpc = 16_000, 1000
 	tf := newTestFile(t, rows, tpc, 9)
-	eng, err := New(tf, Config{Policy: core.Normal, BufferBytes: 4 * tf.ChunkBytes()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTestServer(t, ServerConfig{Policy: core.Normal, BufferBytes: 4 * tf.ChunkBytes()}, tf)
 	firstChunk := make(chan struct{})
 	proceed := make(chan struct{})
 	scanErr := make(chan error, 1)
 	go func() {
-		_, err := eng.Scan("victim", rangeSet(0, tf.NumChunks()), Q6Cols(), func(c int, d ChunkData) {
+		_, err := srv.ScanWith(context.Background(), ScanRequest{Name: "victim", Ranges: rangeSet(0, tf.NumChunks()), Cols: Q6Cols()}, func(c int, d ChunkData) {
 			if c == 0 {
 				firstChunk <- struct{}{}
 				<-proceed
@@ -177,7 +163,7 @@ func TestEngineCloseUnblocksScan(t *testing.T) {
 	// scan must then observe the shutdown and return ErrClosed rather
 	// than hang on chunks that will never be loaded.
 	closed := make(chan struct{})
-	go func() { eng.Close(); close(closed) }()
+	go func() { srv.Close(); close(closed) }()
 	<-closed
 	close(proceed)
 	if err := <-scanErr; err == nil {

@@ -63,7 +63,7 @@ func TestScanSurvivesTransientFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got exec.Q6Result
-			if _, err := srv.Scan(0, "q6", rangeSet(0, tf.NumChunks()), Q6Cols(), func(c int, d ChunkData) {
+			if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "q6", Ranges: rangeSet(0, tf.NumChunks()), Cols: Q6Cols()}, func(c int, d ChunkData) {
 				got.Add(Q6Chunk(d, exec.DefaultQ6()))
 			}); err != nil {
 				t.Fatalf("Scan under transient faults: %v", err)
@@ -111,7 +111,7 @@ func TestQuarantineIsolatesPersistentFault(t *testing.T) {
 
 	// A scan that needs the dead part fails, typed and with the injected
 	// cause still in the chain.
-	_, err = srv.Scan(0, "needs-bad-part", rangeSet(0, n), withTax, nil)
+	_, err = srv.ScanWith(context.Background(), ScanRequest{Name: "needs-bad-part", Ranges: rangeSet(0, n), Cols: withTax}, nil)
 	if !errors.Is(err, ErrChunkUnavailable) {
 		t.Fatalf("scan needing bad part: err = %v, want ErrChunkUnavailable", err)
 	}
@@ -121,7 +121,7 @@ func TestQuarantineIsolatesPersistentFault(t *testing.T) {
 
 	// Same columns, range clear of the bad chunk: completes.
 	var gotC exec.Q6Result
-	if _, err := srv.Scan(0, "skips-bad-chunk", rangeSet(badChunk+1, n), withTax, func(c int, d ChunkData) {
+	if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "skips-bad-chunk", Ranges: rangeSet(badChunk+1, n), Cols: withTax}, func(c int, d ChunkData) {
 		gotC.Add(Q6Chunk(d, exec.DefaultQ6()))
 	}); err != nil {
 		t.Fatalf("scan skipping bad chunk: %v", err)
@@ -133,7 +133,7 @@ func TestQuarantineIsolatesPersistentFault(t *testing.T) {
 	// Full range, but a projection without the dead column: completes — the
 	// quarantine is per part, not per chunk.
 	var gotB exec.Q6Result
-	if _, err := srv.Scan(0, "skips-bad-col", rangeSet(0, n), Q6Cols(), func(c int, d ChunkData) {
+	if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "skips-bad-col", Ranges: rangeSet(0, n), Cols: Q6Cols()}, func(c int, d ChunkData) {
 		gotB.Add(Q6Chunk(d, exec.DefaultQ6()))
 	}); err != nil {
 		t.Fatalf("scan skipping bad column: %v", err)
@@ -179,19 +179,19 @@ func TestOnDiskCorruptionSurfacesAsChecksum(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := tf.NumChunks()
-	_, err = srv.Scan(0, "hits-corruption", rangeSet(0, n), Q6Cols(), nil)
+	_, err = srv.ScanWith(context.Background(), ScanRequest{Name: "hits-corruption", Ranges: rangeSet(0, n), Cols: Q6Cols()}, nil)
 	if !errors.Is(err, ErrChunkUnavailable) || !errors.Is(err, ErrChecksum) {
 		t.Fatalf("scan over corrupt part: err = %v, want ErrChunkUnavailable wrapping ErrChecksum", err)
 	}
 	// The sibling columns of the corrupt chunk are fine: a projection
 	// without the corrupt column reads the whole table.
 	noDiscount := storage.Cols(ColShipDate, ColQuantity, ColExtendedPrice)
-	if _, err := srv.Scan(0, "avoids-corruption", rangeSet(0, n), noDiscount, nil); err != nil {
+	if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "avoids-corruption", Ranges: rangeSet(0, n), Cols: noDiscount}, nil); err != nil {
 		t.Fatalf("scan avoiding corrupt column: %v", err)
 	}
 	// And the rest of the corrupt column is fine too.
 	var got exec.Q6Result
-	if _, err := srv.Scan(0, "rest-of-column", rangeSet(badChunk+1, n), Q6Cols(), func(c int, d ChunkData) {
+	if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "rest-of-column", Ranges: rangeSet(badChunk+1, n), Cols: Q6Cols()}, func(c int, d ChunkData) {
 		got.Add(Q6Chunk(d, exec.DefaultQ6()))
 	}); err != nil {
 		t.Fatalf("scan over rest of column: %v", err)
@@ -230,14 +230,14 @@ func TestScanContextCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, goodErr = srv.Scan(0, "survivor", rangeSet(0, n), Q6Cols(), func(c int, d ChunkData) {
+		_, goodErr = srv.ScanWith(context.Background(), ScanRequest{Name: "survivor", Ranges: rangeSet(0, n), Cols: Q6Cols()}, func(c int, d ChunkData) {
 			good.Add(Q6Chunk(d, exec.DefaultQ6()))
 		})
 	}()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	delivered := 0
-	_, err = srv.ScanContext(ctx, 0, "cancelled", rangeSet(0, n), Q6Cols(), func(c int, d ChunkData) {
+	_, err = srv.ScanWith(ctx, ScanRequest{Name: "cancelled", Ranges: rangeSet(0, n), Cols: Q6Cols()}, func(c int, d ChunkData) {
 		delivered++
 		cancel()
 	})
@@ -258,7 +258,7 @@ func TestScanContextCancellation(t *testing.T) {
 	// A context already expired at entry fails before any delivery.
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	st, err := srv.ScanContext(expired, 0, "expired", rangeSet(0, n), Q6Cols(), func(int, ChunkData) {
+	st, err := srv.ScanWith(expired, ScanRequest{Name: "expired", Ranges: rangeSet(0, n), Cols: Q6Cols()}, func(int, ChunkData) {
 		t.Error("expired context delivered a chunk")
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -286,7 +286,7 @@ func TestScanAfterCloseReturnsErrClosed(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.Scan(0, "late", rangeSet(0, tf.NumChunks()), Q6Cols(), nil)
+		_, err := srv.ScanWith(context.Background(), ScanRequest{Name: "late", Ranges: rangeSet(0, tf.NumChunks()), Cols: Q6Cols()}, nil)
 		done <- err
 	}()
 	select {
@@ -406,7 +406,7 @@ func runFaultSoak(t *testing.T, seed uint64, pol core.Policy) {
 				defer cancel()
 			}
 			delivered := 0
-			_, errs[i] = srv.ScanContext(ctx, sc.table, sc.name, sc.ranges, sc.cols, func(c int, d ChunkData) {
+			_, errs[i] = srv.ScanWith(ctx, ScanRequest{Table: sc.table, Name: sc.name, Ranges: sc.ranges, Cols: sc.cols}, func(c int, d ChunkData) {
 				results[i].Add(Q6Chunk(d, exec.DefaultQ6()))
 				delivered++
 				if sc.cancel {

@@ -83,13 +83,13 @@ func newServerObs(reg *obs.Registry, tracer *obs.Tracer) serverObs {
 		o.verifySeconds = reg.Histogram("coopscan_load_verify_seconds",
 			"Wall time of per-page checksum verification, accumulated per load read.", obs.IOBuckets)
 		o.decompressSeconds = reg.Histogram("coopscan_load_decompress_seconds",
-			"Wall time spent decompressing v4 extents into page buffers, accumulated per load read.", obs.IOBuckets)
+			"Wall time spent decoding compressed extents into page buffers, accumulated per load read.", obs.IOBuckets)
 		o.modelSeconds = reg.Histogram("coopscan_load_device_model_seconds",
 			"Wall time load reads slept in the ReadBandwidth device model, accumulated per load read.", obs.IOBuckets)
 		o.pinSeconds = reg.Histogram("coopscan_load_pin_seconds",
 			"Wall time of a load completion's pin-and-commit section.", obs.SchedBuckets)
 		o.readBytes = reg.Counter("coopscan_load_read_bytes_total",
-			"Bytes read from table files by load workers (stored/disk bytes: compressed widths on v4 tables).")
+			"Bytes read from table files by load workers (stored/disk bytes: compressed widths on compressed tables).")
 		o.decodedBytes = reg.Counter("coopscan_load_decoded_bytes_total",
 			"Bytes staged into page buffers after decompression (equals read bytes on raw tables).")
 		o.recycleGets = reg.Counter("coopscan_recycle_gets_total",

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -91,7 +92,7 @@ func TestServerObsEndToEnd(t *testing.T) {
 	var wg sync.WaitGroup
 	scan := func(table int, name string, onChunk func(int, ChunkData)) {
 		defer wg.Done()
-		if _, err := srv.Scan(table, name, rangeSet(0, n), Q6Cols(), onChunk); err != nil {
+		if _, err := srv.ScanWith(context.Background(), ScanRequest{Table: table, Name: name, Ranges: rangeSet(0, n), Cols: Q6Cols()}, onChunk); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -271,7 +272,7 @@ func TestDeviceModelTimedApart(t *testing.T) {
 		Obs:           reg,
 		Trace:         tracer,
 	}, tf)
-	if _, err := srv.Scan(0, "q", rangeSet(0, tf.NumChunks()), Q6Cols(), func(int, ChunkData) {}); err != nil {
+	if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "q", Ranges: rangeSet(0, tf.NumChunks()), Cols: Q6Cols()}, func(int, ChunkData) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {

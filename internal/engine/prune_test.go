@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -66,11 +67,7 @@ func TestEngineCompressedAllPolicies(t *testing.T) {
 
 	for _, pol := range core.Policies {
 		t.Run(pol.String(), func(t *testing.T) {
-			eng, err := New(tf, Config{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
+			srv := newTestServer(t, ServerConfig{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()}, tf)
 			var wg sync.WaitGroup
 			errs := make([]error, streams)
 			for s := 0; s < streams; s++ {
@@ -90,7 +87,7 @@ func TestEngineCompressedAllPolicies(t *testing.T) {
 						for c := start; c < end; c++ {
 							want.Merge(exec.Q1Chunk(gen, int64(c)*tpc, tf.Layout().ChunkTuples(c), 700, 2))
 						}
-						if _, err := eng.Scan(fmt.Sprintf("s%d", s), rangeSet(start, end), Q1Cols(),
+						if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: fmt.Sprintf("s%d", s), Ranges: rangeSet(start, end), Cols: Q1Cols()},
 							func(c int, d ChunkData) { got.Merge(Q1Chunk(d, 700, 2)) }); err != nil {
 							errs[s] = err
 							return
@@ -108,7 +105,7 @@ func TestEngineCompressedAllPolicies(t *testing.T) {
 							want.Add(q6Base[c])
 						}
 						var got exec.Q6Result
-						if _, err := eng.Scan(fmt.Sprintf("s%d", s), rangeSet(start, end), Q6Cols(),
+						if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: fmt.Sprintf("s%d", s), Ranges: rangeSet(start, end), Cols: Q6Cols()},
 							func(c int, d ChunkData) {
 								if d.Has(ColTax) || d.Has(ColComment) {
 									errs[s] = fmt.Errorf("stream %d: undeclared column delivered", s)
@@ -130,13 +127,13 @@ func TestEngineCompressedAllPolicies(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			stats := eng.Stats()
-			if stats.ABM.Loads == 0 || stats.Pool.Misses == 0 {
+			stats := srv.Stats()
+			if stats.Tables[0].ABM.Loads == 0 || stats.Pool.Misses == 0 {
 				t.Errorf("no real I/O recorded: %+v", stats)
 			}
 			// The device paid compressed widths: disk bytes must be positive
 			// and strictly below the decompressed bytes the ABM accounts.
-			ts := eng.Server().Stats().Tables[0]
+			ts := stats.Tables[0]
 			if ts.DiskBytesRead <= 0 || ts.DiskBytesRead >= ts.ABM.BytesRead {
 				t.Errorf("DiskBytesRead = %d, ABM.BytesRead = %d: want 0 < disk < decoded",
 					ts.DiskBytesRead, ts.ABM.BytesRead)
@@ -163,15 +160,10 @@ func TestZonemapPruningSelectivity(t *testing.T) {
 
 	for _, pol := range core.Policies {
 		t.Run(pol.String(), func(t *testing.T) {
-			eng, err := New(tf, Config{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			srv := eng.Server()
+			srv := newTestServer(t, ServerConfig{Policy: pol, BufferBytes: 4 * tf.ChunkBytes()}, tf)
 
 			var unpruned exec.Q6Result
-			if _, err := srv.Scan(0, "unpruned", rangeSet(0, n), Q6Cols(), func(c int, d ChunkData) {
+			if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "unpruned", Ranges: rangeSet(0, n), Cols: Q6Cols()}, func(c int, d ChunkData) {
 				unpruned.Add(Q6Chunk(d, pred))
 			}); err != nil {
 				t.Fatal(err)
@@ -215,9 +207,9 @@ func TestZonemapPruningSelectivity(t *testing.T) {
 
 // TestPruningEdgeCases covers the pruning contract around the happy path:
 // an all-excluding predicate completes with zero chunks and no
-// registration, predicates on columns without bounds (v3 files, the
-// comment filler) prune nothing, and out-of-range predicate columns are
-// rejected as invalid.
+// registration, a predicate on the comment filler (no bounds) prunes
+// nothing, out-of-range predicate columns are rejected as invalid, and raw
+// files prune exactly like their compressed twin.
 func TestPruningEdgeCases(t *testing.T) {
 	const rows, tpc = 16_000, 1000
 	v4 := newTestFileCompressed(t, rows, tpc, 9)
@@ -225,12 +217,7 @@ func TestPruningEdgeCases(t *testing.T) {
 	n := v4.NumChunks()
 	pred := exec.DefaultQ6()
 
-	eng, err := New(v4, Config{Policy: core.Normal, BufferBytes: 4 * v4.ChunkBytes()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	srv := eng.Server()
+	srv := newTestServer(t, ServerConfig{Policy: core.Normal, BufferBytes: 4 * v4.ChunkBytes()}, v4)
 
 	t.Run("prunes everything", func(t *testing.T) {
 		// Shipdate far above the generator domain: every chunk's bounds
@@ -292,23 +279,41 @@ func TestPruningEdgeCases(t *testing.T) {
 		}
 	})
 
-	t.Run("raw v3 table ignores predicates", func(t *testing.T) {
-		rawEng, err := New(raw, Config{Policy: core.Normal, BufferBytes: 4 * raw.ChunkBytes()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rawEng.Close()
-		st, err := rawEng.Server().ScanWith(context.Background(), ScanRequest{
-			Name: "v3-pred", Ranges: rangeSet(0, n), Cols: Q6Cols(), Preds: Q6Preds(pred),
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Chunks != n {
-			t.Errorf("v3 predicated scan delivered %d chunks, want all %d (no bounds, no pruning)", st.Chunks, n)
-		}
-		if got := rawEng.Server().Stats().Tables[0].ChunksPruned; got != 0 {
-			t.Errorf("v3 table ChunksPruned = %d, want 0", got)
+	t.Run("raw and compressed twins prune alike", func(t *testing.T) {
+		// Zonemaps are chunk metadata, not a codec feature: raw NSM and DSM
+		// files of the same seed persist the same bounds, so a predicated
+		// scan prunes the same chunks and folds the same Q6 on all three.
+		rawNSM := newTestFileFormat(t, NSM, rows, tpc, 9)
+		twins := newTestServer(t, ServerConfig{Policy: core.Normal, BufferBytes: 6 * v4.ChunkBytes()}, v4, raw, rawNSM)
+		var wantQ6 exec.Q6Result
+		var wantChunks map[int]bool
+		for table, tf := range []*TableFile{v4, raw, rawNSM} {
+			var got exec.Q6Result
+			delivered := map[int]bool{}
+			if _, err := twins.ScanWith(context.Background(), ScanRequest{
+				Table: table, Name: "twin-pred", Ranges: rangeSet(0, n), Cols: Q6Cols(), Preds: Q6Preds(pred),
+			}, func(c int, d ChunkData) {
+				delivered[c] = true
+				got.Add(Q6Chunk(d, pred))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if table == 0 {
+				wantQ6, wantChunks = got, delivered
+				if len(delivered) == 0 || len(delivered) == n {
+					t.Fatalf("compressed twin kept %d of %d chunks: predicate not selective", len(delivered), n)
+				}
+				continue
+			}
+			if got != wantQ6 {
+				t.Errorf("raw %v twin Q6 = %+v, compressed twin %+v", tf.Format(), got, wantQ6)
+			}
+			if !maps.Equal(delivered, wantChunks) {
+				t.Errorf("raw %v twin delivered chunks %v, compressed twin %v", tf.Format(), delivered, wantChunks)
+			}
+			if got, want := twins.Stats().Tables[table].ChunksPruned, int64(n-len(wantChunks)); got != want {
+				t.Errorf("raw %v twin ChunksPruned = %d, want %d", tf.Format(), got, want)
+			}
 		}
 	})
 }
@@ -330,7 +335,7 @@ func TestCompressedFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got exec.Q6Result
-		if _, err := srv.Scan(0, "q6", rangeSet(0, tf.NumChunks()), Q6Cols(), func(c int, d ChunkData) {
+		if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "q6", Ranges: rangeSet(0, tf.NumChunks()), Cols: Q6Cols()}, func(c int, d ChunkData) {
 			got.Add(Q6Chunk(d, exec.DefaultQ6()))
 		}); err != nil {
 			t.Fatalf("Scan under transient faults: %v", err)
@@ -366,18 +371,18 @@ func TestCompressedFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := tf.NumChunks()
-		_, err = srv.Scan(0, "needs-bad-part", rangeSet(0, n), Q6Cols(), nil)
+		_, err = srv.ScanWith(context.Background(), ScanRequest{Name: "needs-bad-part", Ranges: rangeSet(0, n), Cols: Q6Cols()}, nil)
 		if !errors.Is(err, ErrChunkUnavailable) {
 			t.Fatalf("scan needing bad extent: err = %v, want ErrChunkUnavailable", err)
 		}
 		// A projection without the dead column reads everything, golden.
 		noDiscount := storage.Cols(ColShipDate, ColQuantity, ColExtendedPrice)
-		if _, err := srv.Scan(0, "avoids-bad-col", rangeSet(0, n), noDiscount, nil); err != nil {
+		if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "avoids-bad-col", Ranges: rangeSet(0, n), Cols: noDiscount}, nil); err != nil {
 			t.Fatalf("scan avoiding bad column: %v", err)
 		}
 		// And the rest of the column is intact.
 		var got exec.Q6Result
-		if _, err := srv.Scan(0, "rest", rangeSet(badChunk+1, n), Q6Cols(), func(c int, d ChunkData) {
+		if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: "rest", Ranges: rangeSet(badChunk+1, n), Cols: Q6Cols()}, func(c int, d ChunkData) {
 			got.Add(Q6Chunk(d, exec.DefaultQ6()))
 		}); err != nil {
 			t.Fatalf("scan over rest of column: %v", err)

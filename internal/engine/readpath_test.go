@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -57,7 +58,7 @@ func TestNSMLoadsRecyclePageBuffers(t *testing.T) {
 				if start > 0 {
 					ranges = ranges.Union(rangeSet(0, start))
 				}
-				if _, err := srv.Scan(0, name, ranges, Q6Cols(), func(int, ChunkData) {}); err != nil {
+				if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: name, Ranges: ranges, Cols: Q6Cols()}, func(int, ChunkData) {}); err != nil {
 					t.Errorf("%s: %v", name, err)
 				}
 			}()
@@ -93,16 +94,16 @@ func TestNSMLoadsRecyclePageBuffers(t *testing.T) {
 // pages with one ReadPageRange call and again page by page, on every stored
 // format, and checks both against the generator's stripes. On NSM each run
 // is one whole chunk; on the column-major formats the same page indexes
-// straddle column boundaries, so one run mixes stripe widths and — on v4 —
-// codec and identity extents.
+// straddle column boundaries, so one run mixes stripe widths and — on the
+// compressed file ("v4") — codec and identity extents.
 func TestReadPageRangeMatchesPageReads(t *testing.T) {
 	const rows, tpc = 5_000, 512 // ten chunks, the last one short
 	for _, tc := range []struct {
 		name string
 		file func(t testing.TB) *TableFile
 	}{
-		{"v3-nsm", func(t testing.TB) *TableFile { return newTestFileFormat(t, NSM, rows, tpc, 13) }},
-		{"v3-dsm", func(t testing.TB) *TableFile { return newTestFileFormat(t, DSM, rows, tpc, 13) }},
+		{"raw-nsm", func(t testing.TB) *TableFile { return newTestFileFormat(t, NSM, rows, tpc, 13) }},
+		{"raw-dsm", func(t testing.TB) *TableFile { return newTestFileFormat(t, DSM, rows, tpc, 13) }},
 		{"v4", func(t testing.TB) *TableFile { return newTestFileCompressed(t, rows, tpc, 13) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

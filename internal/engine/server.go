@@ -16,12 +16,12 @@ import (
 	"coopscan/internal/storage"
 )
 
-// ErrClosed is returned by Scan when the engine shuts down mid-scan, and
-// immediately by a Scan entered after Close.
+// ErrClosed is returned by ScanWith when the engine shuts down mid-scan, and
+// immediately by a ScanWith entered after Close.
 var ErrClosed = errors.New("engine: closed")
 
-// ErrChunkUnavailable is returned by Scan/ScanContext when a part the scan
-// still needs was quarantined: a load of it exhausted its retries against a
+// ErrChunkUnavailable is returned by ScanWith when a part the scan still
+// needs was quarantined: a load of it exhausted its retries against a
 // persistent fault. Only scans whose remaining range and column set touch
 // the quarantined part fail; sibling queries, other chunks and other tables
 // keep running. The error chain includes the final load failure (e.g.
@@ -150,7 +150,7 @@ type TableStats struct {
 	SchedNanos int64
 	SchedCalls int64
 	// DiskBytesRead is the stored bytes load workers transferred for this
-	// table: compressed widths on v4 files, so it diverges from
+	// table: compressed widths on compressed files, so it diverges from
 	// ABM.BytesRead (which accounts the decompressed pool footprint)
 	// exactly by the compression ratio.
 	DiskBytesRead int64
@@ -227,8 +227,9 @@ type serverTable struct {
 	// the server mutex.
 	inflight int
 	// diskRead accumulates the stored bytes load workers transferred for
-	// this table (compressed widths on v4 files); pruned accumulates the
-	// chunks zonemap pruning removed from scan registrations. Both are
+	// this table (compressed widths on compressed files); pruned
+	// accumulates the chunks zonemap pruning removed from scan
+	// registrations. Both are
 	// atomics because they are bumped outside the server mutex (workers
 	// and the pre-registration scan path).
 	diskRead atomic.Int64
@@ -303,7 +304,7 @@ func (w wallClock) Now() float64 { return time.Since(w.start).Seconds() }
 // time, under one shared buffer budget — the multi-table runtime the
 // paper's §7.1 asks of "a production-quality implementation".
 //
-// Concurrency model: one goroutine per Scan call (the query streams), one
+// Concurrency model: one goroutine per ScanWith call (the query streams), one
 // scheduler goroutine that owns every load and eviction *decision* across
 // all tables, and InFlightDepth worker goroutines that execute the issued
 // loads' file reads. The scheduler round-robins NextLoad over the per-table
@@ -422,9 +423,9 @@ type Server struct {
 
 // NewServer creates a server over the given table files and starts its
 // scheduler and load workers. Close must be called to stop them. The table
-// files are adopted in the given order (their index is the Scan table
-// argument) but remain owned by the caller. NSM and DSM tables mix freely
-// under the one shared budget.
+// files are adopted in the given order (their index is ScanRequest.Table)
+// but remain owned by the caller. NSM and DSM tables mix freely under the
+// one shared budget.
 func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	if len(tfs) == 0 {
 		return nil, errors.New("engine: NewServer with no tables")
@@ -651,7 +652,7 @@ func (s *Server) scheduler() {
 	s.regQueue = nil
 }
 
-// regRequest is one stream registration in flight from Scan to the
+// regRequest is one stream registration in flight from ScanWith to the
 // scheduler. The stream parks on w until done; q is nil when the server
 // closed (err nil) or the table detached (err set) before the registration
 // was served.
@@ -1123,9 +1124,9 @@ func (s *Server) quarantineTargets(job loadJob, cause error) []partID {
 // ioStats carries one readMissing call's measurements out for metric
 // observation and trace rendering: the read's wall interval, the bytes
 // handed back, and the slices of the interval spent verifying checksums,
-// decompressing v4 extents and sleeping in the device model (accumulated
+// decoding compressed extents and sleeping in the device model (accumulated
 // across the call's page runs). diskBytes is what the device transferred —
-// the stored (compressed on v4) widths — and is counted even when
+// the stored (compressed or raw) widths — and is counted even when
 // observability is off, because the per-table disk accounting feeds
 // TableStats; everything else is zero when the call had nothing to read or
 // observability is off.
@@ -1150,7 +1151,7 @@ type ioStats struct {
 // multiple workers read concurrently through ReadAt. When observability is
 // enabled it also observes the read, verify, decompress, device-model and
 // byte metrics and reports its measurements; the read time is what is left
-// of the wall interval after the other three, so on a v3 table it includes
+// of the wall interval after the other three, so on a raw table it includes
 // copying the stored pages into their buffers.
 func (s *Server) readMissing(t *serverTable, missing []bufferpool.PageID) (map[bufferpool.PageID][]byte, ioStats, error) {
 	if len(missing) == 0 {
@@ -1196,8 +1197,8 @@ func (s *Server) readMissing(t *serverTable, missing []bufferpool.PageID) (map[b
 // every page into its own buffer drawn from the recycle list of its size —
 // the same for a single page and for a whole NSM chunk, so every buffer the
 // pool evicts can carry a later load. Buffers are always decompressed
-// (fixed-width) pages — on a v4 table the read path inflates the stored
-// extents on the way in — while disk, the device-bandwidth model and
+// (fixed-width) pages — on a compressed table the read path decodes the
+// stored extents on the way in — while disk, the device-bandwidth model and
 // iost.diskBytes pay the stored widths. With observability on, the verify,
 // decompress and device-model times accumulate into iost.
 func (s *Server) readRun(t *serverTable, run []bufferpool.PageID, out map[bufferpool.PageID][]byte, iost *ioStats) error {
@@ -1308,37 +1309,12 @@ func (s *Server) TableName(i int) string {
 	return s.tables[i].name
 }
 
-// Scan executes one cooperative scan over the given chunk ranges of table
-// `table` in the calling goroutine, invoking onChunk for every delivered
-// chunk in the policy's delivery order (out-of-order for elevator and
-// relevance). cols is the scan's projection: on a DSM table only those
-// columns are loaded, delivered and paid for; on an NSM table the whole
-// chunk is loaded regardless (and delivered in full), but the declared
-// projection still drives the useful-bytes accounting in the returned
-// stats. It blocks until the scan has consumed its whole range and returns
-// the query's statistics (times are wall-clock seconds since server
-// start). Scan is ScanContext without a deadline.
-func (s *Server) Scan(table int, name string, ranges storage.RangeSet, cols storage.ColSet, onChunk func(chunk int, data ChunkData)) (core.Stats, error) {
-	return s.ScanContext(context.Background(), table, name, ranges, cols, onChunk)
-}
-
-// ScanContext is Scan under a context: when ctx is cancelled or its
-// deadline passes, the scan — even one parked on its stream's condition
-// variable waiting for a chunk that may never load — wakes, unregisters its
-// query, releases nothing it still holds (pins are only held inside a
-// delivery, never across the wait), and returns ctx's error. Cancellation
-// is observed between chunk deliveries: an onChunk already in progress runs
-// to completion. A nil ctx is Background.
-func (s *Server) ScanContext(ctx context.Context, table int, name string, ranges storage.RangeSet, cols storage.ColSet, onChunk func(chunk int, data ChunkData)) (core.Stats, error) {
-	return s.ScanWith(ctx, ScanRequest{Table: table, Name: name, Ranges: ranges, Cols: cols}, onChunk)
-}
-
 // PredRange is one conjunct of a scan's predicate: column Col's value lies
 // in [Lo, Hi], inclusive. The engine uses it only to prune — chunks whose
 // persisted zonemap bounds cannot intersect the interval are dropped from
 // the registration — so a predicate is always safe to pass: tuple-level
-// filtering stays the kernel's job, and on tables without bounds (v3 files,
-// the comment column) the predicate simply prunes nothing.
+// filtering stays the kernel's job, and on a column without bounds (the
+// comment filler) the predicate simply prunes nothing.
 type PredRange struct {
 	Col    int
 	Lo, Hi int64
@@ -1366,8 +1342,26 @@ type ScanRequest struct {
 	Preds []PredRange
 }
 
-// ScanWith is ScanContext with per-request options (currently the SLO
-// weight); the serve front-end's session path.
+// ScanWith executes one cooperative scan — the engine's one scan entry
+// point — over req.Ranges of table req.Table in the calling goroutine,
+// invoking onChunk for every delivered chunk in the policy's delivery order
+// (out-of-order for elevator and relevance). req.Cols is the scan's
+// projection: on a DSM table only those columns are loaded, delivered and
+// paid for; on an NSM table the whole chunk is loaded regardless (and
+// delivered in full), but the declared projection still drives the
+// useful-bytes accounting in the returned stats. req.Preds prune the range
+// through the table's zonemaps before the query registers, and req.Weight
+// sets its relevance starvation weight.
+//
+// ScanWith blocks until the scan has consumed its whole range and returns
+// the query's statistics (times are wall-clock seconds since server start).
+// When ctx is cancelled or its deadline passes, the scan — even one parked
+// on its stream's condition variable waiting for a chunk that may never
+// load — wakes, unregisters its query, releases nothing it still holds
+// (pins are only held inside a delivery, never across the wait), and
+// returns ctx's error. Cancellation is observed between chunk deliveries:
+// an onChunk already in progress runs to completion. A nil ctx is
+// Background.
 func (s *Server) ScanWith(ctx context.Context, req ScanRequest, onChunk func(chunk int, data ChunkData)) (core.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1404,10 +1398,10 @@ func (s *Server) ScanWith(ctx context.Context, req ScanRequest, onChunk func(chu
 	}
 	// Zonemap pruning: drop every chunk whose persisted bounds exclude a
 	// predicate before the query ever reaches the scheduler. Predicates
-	// over columns without bounds (v3 files, the comment filler) prune
-	// nothing — they are hints, never filters, so correctness cannot
-	// depend on them. An empty Lo>Hi interval legitimately prunes
-	// everything (e.g. a quantity filter below the column's domain).
+	// over the comment filler, which has no bounds, prune nothing —
+	// predicates are hints, never filters, so correctness cannot depend on
+	// them. An empty Lo>Hi interval legitimately prunes everything (e.g. a
+	// quantity filter below the column's domain).
 	if len(req.Preds) > 0 {
 		for _, p := range req.Preds {
 			if p.Col < 0 || p.Col >= NumCols {
@@ -1460,7 +1454,7 @@ func (s *Server) scanStream(ctx context.Context, t *serverTable, req ScanRequest
 	if done := ctx.Done(); done != nil {
 		// Watcher: a context firing must unblock a scan parked in w.Wait.
 		// Skipped entirely for non-cancellable contexts, so the fault-free
-		// fast path (Scan) pays nothing for cancellability. Taking mu orders
+		// fast path (a Background context) pays nothing for cancellability. Taking mu orders
 		// the signal after the stream's park: the stream holds mu from its
 		// ctx.Err() check until the Wait releases it.
 		stop := make(chan struct{})

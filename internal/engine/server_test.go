@@ -5,6 +5,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -66,7 +67,7 @@ func TestServerMultiTableAllPolicies(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						var got exec.Q6Result
-						st, err := srv.Scan(table, fmt.Sprintf("t%ds%d", table, s), rangeSet(start, end), Q6Cols(),
+						st, err := srv.ScanWith(context.Background(), ScanRequest{Table: table, Name: fmt.Sprintf("t%ds%d", table, s), Ranges: rangeSet(start, end), Cols: Q6Cols()},
 							func(c int, d ChunkData) { got.Add(Q6Chunk(d, exec.DefaultQ6())) })
 						mu.Lock()
 						defer mu.Unlock()
@@ -156,7 +157,7 @@ func TestServerConcurrentLoadsOutOfOrder(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				var got exec.Q6Result
-				_, err := srv.Scan(table, fmt.Sprintf("t%ds%d", table, s), rangeSet(0, 48), Q6Cols(),
+				_, err := srv.ScanWith(context.Background(), ScanRequest{Table: table, Name: fmt.Sprintf("t%ds%d", table, s), Ranges: rangeSet(0, 48), Cols: Q6Cols()},
 					func(c int, d ChunkData) { got.Add(Q6Chunk(d, exec.DefaultQ6())) })
 				mu.Lock()
 				defer mu.Unlock()
@@ -201,7 +202,7 @@ func TestServerDepthOneSerialisesLoads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := srv.Scan(0, fmt.Sprintf("s%d", s), rangeSet(0, tf.NumChunks()), Q6Cols(), nil); err != nil {
+			if _, err := srv.ScanWith(context.Background(), ScanRequest{Name: fmt.Sprintf("s%d", s), Ranges: rangeSet(0, tf.NumChunks()), Cols: Q6Cols()}, nil); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -225,7 +226,7 @@ func TestServerBudgetFollowsDemand(t *testing.T) {
 	scanDone := make(chan error, 1)
 	go func() {
 		// A slow consumer keeps demand on table 0 alive while we observe.
-		_, err := srv.Scan(0, "hot", rangeSet(0, tf1.NumChunks()), Q6Cols(), func(int, ChunkData) {
+		_, err := srv.ScanWith(context.Background(), ScanRequest{Name: "hot", Ranges: rangeSet(0, tf1.NumChunks()), Cols: Q6Cols()}, func(int, ChunkData) {
 			time.Sleep(2 * time.Millisecond)
 		})
 		scanDone <- err

@@ -63,7 +63,7 @@ func TestScanCancellationStorm(t *testing.T) {
 				ctx, cancel = context.WithCancel(ctx)
 				defer cancel()
 			}
-			_, errs[i] = srv.ScanContext(ctx, 0, fmt.Sprintf("s%d", i), rangeSet(st.a, st.b), Q6Cols(), func(c int, d ChunkData) {
+			_, errs[i] = srv.ScanWith(ctx, ScanRequest{Name: fmt.Sprintf("s%d", i), Ranges: rangeSet(st.a, st.b), Cols: Q6Cols()}, func(c int, d ChunkData) {
 				delivered[i]++
 				results[i].Add(Q6Chunk(d, exec.DefaultQ6()))
 				if st.cancel {

@@ -13,34 +13,38 @@
 //
 // # Design notes
 //
-// Server is the runtime: one goroutine per Scan call, one scheduler
+// Server is the runtime: one goroutine per ScanWith call, one scheduler
 // goroutine owning every load and eviction decision across all attached
 // tables, and a bounded pool of load workers (ServerConfig.InFlightDepth)
 // executing the file reads, so completions commit out of issue order while
 // the ABM's part states keep the decision machine coherent. Each table has
 // its own live ABM (the paper's §7.1 "separate statistics and meta-data
 // for each" table); one shared buffer budget is moved between them by the
-// demand-driven arbiter in core.Manager.Rebalance. Engine is the
-// single-table convenience wrapper. An optional device-bandwidth model
+// demand-driven arbiter in core.Manager.Rebalance. A single-table engine is
+// NewServer over one file. An optional device-bandwidth model
 // (ServerConfig.ReadBandwidth) restores the paper's premise — device
 // bandwidth as the scarce resource — when the table files sit in the OS
 // page cache, where re-reads would otherwise be free.
 //
-// TableFile (this file) is the storage format: a 64-byte header, a
-// per-page checksum table, then NumChunks × NumCols fixed-size column
-// stripes of deterministic tpch-generated data, in one of two physical
-// orders:
+// TableFile (this file) is the storage format, one on-disk version: a
+// 64-byte header, the directories (per-page checksums, per-column schemes,
+// per-extent lengths and per-chunk zonemap bounds, the paper's §2 chunk
+// metadata), then NumChunks × NumCols (chunk, column) extents of
+// deterministic tpch-generated data, in one of two physical orders:
 //
 //   - NSM: chunk-major (PAX-style) — all of chunk 0's stripes, then all of
 //     chunk 1's. A chunk is one contiguous region; loading it means loading
 //     every column, whatever the query projects.
-//   - DSM: column-major (the paper's §5) — all of column 0's stripes, then
-//     all of column 1's. A (chunk, column) stripe is an independently
-//     addressable extent, so a query's I/O cost is its projection width.
+//   - DSM: column-major (the paper's §5) — all of column 0's extents, then
+//     all of column 1's. A (chunk, column) extent is independently
+//     addressable, so a query's I/O cost is its projection width.
 //
-// One stripe is one buffer-pool page either way; a storage.NSMLayout or
-// chunk-aligned storage.DSMLayout describes the geometry, so the ABM
-// schedules over a real file exactly like a simulated table.
+// An extent is the raw stripe (the identity scheme) or, on DSM files made
+// by CreateCompressed, the stripe encoded under its column's codec. Either
+// way it is read back as one fixed-width buffer-pool page; a
+// storage.NSMLayout or chunk-aligned storage.DSMLayout describes the
+// geometry, so the ABM schedules over a real file exactly like a simulated
+// table.
 package engine
 
 import (
@@ -156,16 +160,17 @@ func (f Format) String() string {
 }
 
 const (
-	tableMagic   = uint64(0x434f4f504c495645) // "COOPLIVE"
-	tableVersion = 3                          // v3: per-page checksum table after the header
-	// tableVersionCompressed is the v4 DSM-only format: each (chunk,column)
-	// extent is stored compressed under a per-column compress.Scheme, with a
-	// per-extent length directory and a per-column zonemap footer between
-	// the checksum table and the data region. Checksums cover the stored
-	// (compressed) bytes; readers decompress at pin time into fixed-width
-	// page buffers, so everything downstream of the read path is unchanged.
-	tableVersionCompressed = 4
-	headerBytes            = 64
+	tableMagic = uint64(0x434f4f504c495645) // "COOPLIVE"
+	// tableVersion is the one on-disk layout: the header, a per-page
+	// checksum table, a per-column scheme table, a per-extent length
+	// directory and a per-(column, chunk) zonemap footer, then the data.
+	// Each (chunk, column) extent is stored under its column's scheme —
+	// identity (the raw stripe) or a compress.Scheme, DSM files only.
+	// Checksums cover the stored bytes; readers decode at pin time into
+	// fixed-width page buffers, so everything downstream of the read path
+	// sees the same pages whatever the scheme.
+	tableVersion = 4
+	headerBytes  = 64
 )
 
 // schemeIdentity marks a column whose extents are stored as the raw stripe
@@ -174,16 +179,21 @@ const (
 // compress.Scheme space.
 const schemeIdentity = 0xFF
 
-// schemeTableBytes is the v4 per-column scheme table size, padded to an
+// schemeTableBytes is the per-column scheme table size, padded to an
 // 8-byte boundary so the extent directory after it stays aligned.
 const schemeTableBytes = (NumCols + 7) &^ 7
+
+// metaBytesPerChunk is the directory space one chunk takes: per column an
+// 8-byte checksum slot, an 8-byte extent length and 16 bytes of zonemap
+// bounds.
+const metaBytesPerChunk = NumCols * (8 + 8 + 16)
 
 // crcTable is the CRC32-C (Castagnoli) table behind every page checksum.
 // CRC32-C is hardware-accelerated on amd64/arm64 (~30 GB/s vs ~2 GB/s for
 // the table-driven CRC64), which is what keeps verification invisible next
 // to page-cache read speed. Each sum still occupies a fixed 8-byte slot in
-// the file's checksum table (zero-extended), so the v3 layout has room for
-// a wider checksum without moving the data region.
+// the file's checksum table (zero-extended), so the layout has room for a
+// wider checksum without moving the data region.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // pageChecksum is the per-page checksum as stored in the file's table.
@@ -210,11 +220,11 @@ var (
 	ErrChecksum = errors.New("engine: page checksum mismatch")
 )
 
-// ErrCorrupt re-exports the codec's decode failure: a v4 extent whose stored
-// bytes passed their CRC but do not decode to exactly one stripe of values.
-// Like ErrChecksum it arrives wrapped in a *PageError, so the load path
-// quarantines the precise (chunk, column) part instead of delivering wrong
-// tuples.
+// ErrCorrupt re-exports the codec's decode failure: a codec extent whose
+// stored bytes passed their CRC but do not decode to exactly one stripe of
+// values. Like ErrChecksum it arrives wrapped in a *PageError, so the load
+// path quarantines the precise (chunk, column) part instead of delivering
+// wrong tuples.
 var ErrCorrupt = compress.ErrCorrupt
 
 // PageError records the table-local page a read or verification failed on,
@@ -228,11 +238,12 @@ type PageError struct {
 func (e *PageError) Error() string { return e.Err.Error() }
 func (e *PageError) Unwrap() error { return e.Err }
 
-// TableFile is a table stored as a real chunked file: a 64-byte header, a
-// checksum table (one CRC32-C per page, in an 8-byte slot), then NumChunks × NumCols column
-// stripes in chunk-major (NSM) or column-major (DSM) order. Chunk/extent
-// geometry is described by a storage.Layout so the ABM schedules over it
-// exactly like a simulated table.
+// TableFile is a table stored as a real chunked file: a 64-byte header, the
+// directories (one CRC32-C per page in an 8-byte slot, per-column schemes,
+// per-page extent lengths, per-chunk zonemap bounds), then NumChunks ×
+// NumCols column extents in chunk-major (NSM) or column-major (DSM) order.
+// Chunk/extent geometry is described by a storage.Layout so the ABM
+// schedules over it exactly like a simulated table.
 //
 // The unit of addressing is the page: one (chunk, column) stripe, which is
 // also one buffer-pool page of the live engine. Page p's size and file
@@ -247,20 +258,17 @@ type TableFile struct {
 	tuplesPerChunk int64
 	seed           uint64
 	format         Format
-	version        int
 	layout         storage.Layout
 	numChunks      int
-	dataOff        int64    // data region start: header + checksum table (+ v4 directories)
+	dataOff        int64    // data region start: header + directories
 	sums           []uint64 // per-page checksums (page-index order)
 
-	// Extent geometry, shared by both versions: a v3 file is a v4 file
-	// whose every column is stored under schemeIdentity. schemes holds each
-	// column's compress.Scheme byte (schemeIdentity for raw-stored columns);
-	// extLen/extOff are the stored length and data-region offset of every
-	// page in page-index order (offsets are prefix sums, so consecutive
-	// pages stay contiguous and coalesced run reads still work); zones are
-	// the persisted per-column chunk bounds (nil for the comment filler and
-	// on v3 files).
+	// Extent geometry. schemes holds each column's compress.Scheme byte
+	// (schemeIdentity for raw-stored columns); extLen/extOff are the stored
+	// length and data-region offset of every page in page-index order
+	// (offsets are prefix sums, so consecutive pages stay contiguous and
+	// coalesced run reads still work); zones are the persisted per-column
+	// chunk bounds (nil for the comment filler).
 	schemes [NumCols]byte
 	extLen  []int64
 	extOff  []int64
@@ -332,9 +340,9 @@ func (t *TableFile) pageCol(p int64) int {
 // decompressed fixed-width stripe, whatever is stored on disk.
 func (t *TableFile) PageBytes(p int64) int64 { return t.ColStripeBytes(t.pageCol(p)) }
 
-// StoredPageBytes returns the bytes page p occupies on disk: the compressed
-// extent length on v4 files, PageBytes otherwise. This is what the device
-// (and the -read-mbps bandwidth model) actually pays per page.
+// StoredPageBytes returns the bytes page p occupies on disk: the encoded
+// extent length under a codec, PageBytes for identity columns. This is what
+// the device (and the -read-mbps bandwidth model) actually pays per page.
 func (t *TableFile) StoredPageBytes(p int64) int64 { return t.extLen[p] }
 
 // StoredRunBytes sums StoredPageBytes over a run of consecutive pages.
@@ -346,17 +354,25 @@ func (t *TableFile) StoredRunBytes(first int64, count int) int64 {
 	return total
 }
 
-// Compressed reports whether the file stores v4 compressed extents.
-func (t *TableFile) Compressed() bool { return t.version == tableVersionCompressed }
+// Compressed reports whether some column's extents are stored under a codec
+// rather than as raw stripe bytes.
+func (t *TableFile) Compressed() bool {
+	for _, s := range t.schemes {
+		if s != schemeIdentity {
+			return true
+		}
+	}
+	return false
+}
 
 // StoredBytes returns the size of the on-disk data region: the sum of every
-// stored extent. On v3 files this equals NumChunks×ChunkBytes; on v4 files
-// it is the compressed footprint the ratio reports compare against raw.
+// stored extent. On raw files this equals NumChunks×ChunkBytes; on
+// compressed files it is the footprint the ratio reports compare against
+// raw.
 func (t *TableFile) StoredBytes() int64 { return t.StoredRunBytes(0, int(t.NumPages())) }
 
 // ColScheme returns the compress.Scheme column col's extents are stored
-// under, with ok=false when the column is stored as raw stripe bytes
-// (identity columns on v4 files, and every column on v3 files).
+// under, with ok=false when the column is stored as raw stripe bytes.
 func (t *TableFile) ColScheme(col int) (compress.Scheme, bool) {
 	if t.schemes[col] == schemeIdentity {
 		return 0, false
@@ -364,9 +380,9 @@ func (t *TableFile) ColScheme(col int) (compress.Scheme, bool) {
 	return compress.Scheme(t.schemes[col]), true
 }
 
-// ZoneMap returns the persisted per-chunk bounds of column col, or nil when
-// the file carries none (v3 files, and the comment filler whose bytes are
-// not ordered values). The returned map is shared and must not be mutated.
+// ZoneMap returns the persisted per-chunk bounds of column col, or nil for
+// the comment filler, whose bytes are not ordered values. The returned map
+// is shared and must not be mutated.
 func (t *TableFile) ZoneMap(col int) *storage.ZoneMap {
 	if col < 0 || col >= NumCols {
 		return nil
@@ -376,7 +392,7 @@ func (t *TableFile) ZoneMap(col int) *storage.ZoneMap {
 
 // pageOffset returns page p's position within the data region. Consecutive
 // pages are contiguous in both formats (stripes tile the chunk in NSM, the
-// column in DSM, and chunks/columns tile the file — and the v4 extent
+// column in DSM, and chunks/columns tile the file — and the extent
 // directory is built as prefix sums in page order), which is what lets
 // ReadPageRange coalesce a run of pages into one positioned read.
 func (t *TableFile) pageOffset(p int64) int64 { return t.extOff[p] }
@@ -447,9 +463,8 @@ func (t *TableFile) ReadPageRange(first int64, count int, buf []byte) error {
 // readPages is the one page-range reader behind every table read: one
 // positioned read of the stored run starting at page first into pooled
 // scratch, then per page a CRC over the stored bytes and a copy (identity
-// columns, so every page of a v3 file) or a decode (PFOR, PFOR-DELTA,
-// PDICT) into dst[i], which must be exactly PageBytes(first+i) long. CRC
-// failures surface as ErrChecksum and post-CRC decode failures as
+// columns) or a decode (PFOR, PFOR-DELTA, PDICT) into dst[i], which must be
+// exactly PageBytes(first+i) long. CRC failures surface as ErrChecksum and post-CRC decode failures as
 // ErrCorrupt, both wrapped in a *PageError naming the precise page, so the
 // engine retries or quarantines exactly the affected part and a corrupt
 // extent can never decode into wrong tuples. When verify or decomp are
@@ -589,89 +604,9 @@ func Create(path string, rows, tuplesPerChunk int64, seed uint64) (*TableFile, e
 
 // CreateFormat is Create with an explicit physical format: chunk-major NSM
 // stripes, or column-major DSM extents (each column contiguous, so queries
-// read only the columns they project).
+// read only the columns they project). Every column is stored raw.
 func CreateFormat(path string, format Format, rows, tuplesPerChunk int64, seed uint64) (*TableFile, error) {
-	if rows <= 0 || tuplesPerChunk <= 0 {
-		return nil, fmt.Errorf("engine: Create(rows=%d, tuplesPerChunk=%d)", rows, tuplesPerChunk)
-	}
-	if format != NSM && format != DSM {
-		return nil, fmt.Errorf("engine: Create with unknown format %d", int(format))
-	}
-	table := tpch.LineitemTable(1)
-	table.Rows = rows
-	gen := tpch.NewGenerator(table, seed)
-
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	// On any failure below, remove the partial file: a truncated table at
-	// this path would make every later Open fail instead of regenerating.
-	abort := func(err error) (*TableFile, error) {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint64(hdr[0:], tableMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], tableVersion)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(rows))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(tuplesPerChunk))
-	binary.LittleEndian.PutUint64(hdr[32:], seed)
-	binary.LittleEndian.PutUint64(hdr[40:], NumCols)
-	binary.LittleEndian.PutUint64(hdr[48:], uint64(format))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return abort(err)
-	}
-
-	t := newTableFile(f, path, format, rows, tuplesPerChunk, seed, tableVersion)
-	// Reserve the checksum table with zeros; the real sums are computed as
-	// the stripes stream out and written in place before the final sync, so
-	// a crash mid-create can never leave valid-looking checksums.
-	sumBytes := make([]byte, t.NumPages()*8)
-	if _, err := w.Write(sumBytes); err != nil {
-		return abort(err)
-	}
-	vals := make([]int64, tuplesPerChunk)
-	stripe := make([]byte, tuplesPerChunk*maxColWidth())
-	writeStripe := func(c, j, page int) error {
-		buf := stripe[:t.ColStripeBytes(j)]
-		fillStripe(gen, seed, c, j, tuplesPerChunk, t.layout.ChunkTuples(c), vals, buf)
-		t.sums[page] = pageChecksum(buf)
-		_, err := w.Write(buf)
-		return err
-	}
-	if format == DSM {
-		for j := 0; j < NumCols; j++ {
-			for c := 0; c < t.numChunks; c++ {
-				if err := writeStripe(c, j, j*t.numChunks+c); err != nil {
-					return abort(err)
-				}
-			}
-		}
-	} else {
-		for c := 0; c < t.numChunks; c++ {
-			for j := 0; j < NumCols; j++ {
-				if err := writeStripe(c, j, c*NumCols+j); err != nil {
-					return abort(err)
-				}
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return abort(err)
-	}
-	for p, sum := range t.sums {
-		binary.LittleEndian.PutUint64(sumBytes[p*8:], sum)
-	}
-	if _, err := f.WriteAt(sumBytes, headerBytes); err != nil {
-		return abort(err)
-	}
-	if err := f.Sync(); err != nil {
-		return abort(err)
-	}
-	return t, nil
+	return create(path, format, false, rows, tuplesPerChunk, seed)
 }
 
 // pickScheme chooses the cheapest codec for one column from a sampled
@@ -689,17 +624,31 @@ func pickScheme(sample []int64) byte {
 	return best
 }
 
-// CreateCompressed generates a v4 DSM table file: the same deterministic
-// lineitem-like data as CreateFormat(DSM, ...), but each (chunk, column)
-// extent is stored compressed under a per-column scheme sampled from the
-// first chunk, with per-extent CRCs over the stored bytes, a length
-// directory, and persisted per-column zonemap bounds over each chunk's
-// valid tuples (the short last chunk's zero padding is excluded from the
-// bounds but included in the encoded values, so every extent decodes to
-// exactly one fixed-width stripe).
+// CreateCompressed generates a compressed DSM table file: the same
+// deterministic lineitem-like data as CreateFormat(DSM, ...), but each
+// (chunk, column) extent is stored compressed under a per-column scheme
+// sampled from the first chunk (the short last chunk's zero padding is
+// included in the encoded values, so every extent decodes to exactly one
+// fixed-width stripe).
 func CreateCompressed(path string, rows, tuplesPerChunk int64, seed uint64) (*TableFile, error) {
+	return create(path, DSM, true, rows, tuplesPerChunk, seed)
+}
+
+// create is the one table-file writer. It streams every page in page order
+// (chunk-major for NSM, column-major for DSM) after zero-filled directories,
+// computing each page's stored bytes (the raw stripe, or its encoding under
+// the column's scheme when compressed), CRC and length, and each value
+// column's per-chunk zonemap bounds over the chunk's valid tuples. The real
+// directories are then written in place before the final sync, so a crash
+// mid-create can never leave a valid-looking file. On any failure the
+// partial file is removed: a truncated table at this path would make every
+// later Open fail instead of regenerating.
+func create(path string, format Format, compressed bool, rows, tuplesPerChunk int64, seed uint64) (*TableFile, error) {
 	if rows <= 0 || tuplesPerChunk <= 0 {
-		return nil, fmt.Errorf("engine: CreateCompressed(rows=%d, tuplesPerChunk=%d)", rows, tuplesPerChunk)
+		return nil, fmt.Errorf("engine: Create(rows=%d, tuplesPerChunk=%d)", rows, tuplesPerChunk)
+	}
+	if format != NSM && format != DSM {
+		return nil, fmt.Errorf("engine: Create with unknown format %d", int(format))
 	}
 	table := tpch.LineitemTable(1)
 	table.Rows = rows
@@ -714,76 +663,66 @@ func CreateCompressed(path string, rows, tuplesPerChunk int64, seed uint64) (*Ta
 		os.Remove(path)
 		return nil, err
 	}
-	t := newTableFile(f, path, DSM, rows, tuplesPerChunk, seed, tableVersionCompressed)
-
-	// Sample the first chunk of every value column to fix its scheme.
+	t := newTableFile(f, path, format, rows, tuplesPerChunk, seed)
 	vals := make([]int64, tuplesPerChunk)
-	n0 := t.layout.ChunkTuples(0)
-	for j := 0; j < NumCols; j++ {
+	for j := range t.zones {
 		if j == ColComment {
-			t.schemes[j] = schemeIdentity
 			continue
 		}
-		gen.Column(tpchCols[j], 0, vals[:n0])
-		for i := n0; i < tuplesPerChunk; i++ {
-			vals[i] = 0
+		t.zones[j] = storage.NewZoneMap(t.numChunks)
+		if compressed {
+			// Sample the first chunk of every value column to fix its scheme.
+			n0 := t.layout.ChunkTuples(0)
+			gen.Column(tpchCols[j], 0, vals[:n0])
+			clear(vals[n0:])
+			t.schemes[j] = pickScheme(vals)
 		}
-		t.schemes[j] = pickScheme(vals)
 	}
 
 	w := bufio.NewWriterSize(f, 1<<20)
 	var hdr [headerBytes]byte
 	binary.LittleEndian.PutUint64(hdr[0:], tableMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], tableVersionCompressed)
+	binary.LittleEndian.PutUint64(hdr[8:], tableVersion)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(rows))
 	binary.LittleEndian.PutUint64(hdr[24:], uint64(tuplesPerChunk))
 	binary.LittleEndian.PutUint64(hdr[32:], seed)
 	binary.LittleEndian.PutUint64(hdr[40:], NumCols)
-	binary.LittleEndian.PutUint64(hdr[48:], uint64(DSM))
+	binary.LittleEndian.PutUint64(hdr[48:], uint64(format))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return abort(err)
 	}
-	// Reserve every directory (checksums, schemes, extent lengths, zonemaps)
-	// with zeros; the real contents are written in place before the final
-	// sync, so a crash mid-create can never leave a valid-looking file.
 	meta := make([]byte, t.dataOff-headerBytes)
 	if _, err := w.Write(meta); err != nil {
 		return abort(err)
 	}
 
-	for j := range t.zones {
-		if j != ColComment {
-			t.zones[j] = storage.NewZoneMap(t.numChunks)
-		}
-	}
 	stripe := make([]byte, tuplesPerChunk*maxColWidth())
-	for j := 0; j < NumCols; j++ {
-		for c := 0; c < t.numChunks; c++ {
-			page := int64(j)*int64(t.numChunks) + int64(c)
-			buf := stripe[:t.ColStripeBytes(j)]
-			nc := t.layout.ChunkTuples(c)
-			fillStripe(gen, seed, c, j, tuplesPerChunk, nc, vals, buf)
-			stored := buf
-			if j != ColComment {
-				for i := int64(0); i < nc; i++ {
-					t.zones[j].Observe(c, vals[i])
-				}
-				if t.schemes[j] != schemeIdentity {
-					for i := nc; i < tuplesPerChunk; i++ {
-						vals[i] = 0
-					}
-					enc, err := compress.EncodeInts(compress.Scheme(t.schemes[j]), vals)
-					if err != nil {
-						return abort(err)
-					}
-					stored = enc
-				}
+	for p := int64(0); p < t.NumPages(); p++ {
+		c, _ := t.PagePart(p)
+		j := t.pageCol(p)
+		buf := stripe[:t.ColStripeBytes(j)]
+		nc := t.layout.ChunkTuples(c)
+		fillStripe(gen, seed, c, j, tuplesPerChunk, nc, vals, buf)
+		stored := buf
+		if j != ColComment {
+			lo, hi := vals[0], vals[0]
+			for _, v := range vals[1:nc] {
+				lo, hi = min(lo, v), max(hi, v)
 			}
-			t.sums[page] = pageChecksum(stored)
-			t.extLen[page] = int64(len(stored))
-			if _, err := w.Write(stored); err != nil {
-				return abort(err)
+			t.zones[j].SetBounds(c, lo, hi)
+			if t.schemes[j] != schemeIdentity {
+				clear(vals[nc:])
+				enc, err := compress.EncodeInts(compress.Scheme(t.schemes[j]), vals)
+				if err != nil {
+					return abort(err)
+				}
+				stored = enc
 			}
+		}
+		t.sums[p] = pageChecksum(stored)
+		t.extLen[p] = int64(len(stored))
+		if _, err := w.Write(stored); err != nil {
+			return abort(err)
 		}
 	}
 	if err := w.Flush(); err != nil {
@@ -829,128 +768,110 @@ func CreateCompressed(path string, rows, tuplesPerChunk int64, seed uint64) (*Ta
 	return t, nil
 }
 
-// newTableFile assembles the in-memory descriptor: layout plus the extent
-// geometry of a raw file — every column identity-stored, every extent one
-// full stripe in page order. The v4 creator and opener then overwrite the
-// schemes and extent directory with the stored ones.
-func newTableFile(f *os.File, path string, format Format, rows, tuplesPerChunk int64, seed uint64, version int) *TableFile {
+// newTableFile assembles the in-memory descriptor: the layout, the data
+// region's start, and directories sized to the page count with every column
+// identity-stored. The writer and Open fill the directories in.
+func newTableFile(f *os.File, path string, format Format, rows, tuplesPerChunk int64, seed uint64) *TableFile {
 	t := &TableFile{
 		f: f, r: f, path: path, rows: rows, tuplesPerChunk: tuplesPerChunk,
-		seed: seed, format: format, version: version,
+		seed: seed, format: format,
 	}
 	t.layout = newLayout(format, rows, tuplesPerChunk)
 	t.numChunks = t.layout.NumChunks()
-	t.dataOff = headerBytes + t.NumPages()*8
-	if version == tableVersionCompressed {
-		// v4 interposes the scheme table, the per-extent length directory
-		// and the zonemap footer between the checksum table and the data.
-		t.dataOff += schemeTableBytes + t.NumPages()*8 + int64(NumCols)*int64(t.numChunks)*16
-	}
+	t.dataOff = headerBytes + schemeTableBytes + int64(t.numChunks)*metaBytesPerChunk
 	t.sums = make([]uint64, t.NumPages())
 	for j := range t.schemes {
 		t.schemes[j] = schemeIdentity
 	}
 	t.extLen = make([]int64, t.NumPages())
 	t.extOff = make([]int64, t.NumPages())
-	var off int64
-	for p := range t.extLen {
-		t.extLen[p] = t.PageBytes(int64(p))
-		t.extOff[p] = off
-		off += t.extLen[p]
-	}
 	return t
 }
 
 // Open opens an existing table file and validates it strictly: magic,
-// version, column count, format, geometry, exact file size, and a fully
-// readable checksum table. Failures come back as typed errors (ErrBadMagic,
-// ErrBadVersion, ErrBadGeometry, ErrTruncated) wrapped with path context —
-// a torn, truncated, or foreign file is an error, never a panic.
+// version, column count, format, geometry, exact file size, and fully
+// readable, mutually consistent directories. Failures come back as typed
+// errors (ErrBadMagic, ErrBadVersion, ErrBadGeometry, ErrTruncated) wrapped
+// with path context — a torn, truncated, foreign or crafted file is an
+// error, never a panic, and the header's sizes are checked against the
+// file's before anything is allocated from them.
 func Open(path string) (*TableFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	fail := func(format string, args ...any) (*TableFile, error) {
+		f.Close()
+		return nil, fmt.Errorf("engine: %s: "+format, append([]any{path}, args...)...)
+	}
 	var hdr [headerBytes]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: short header (%v): %w", path, err, ErrTruncated)
+		return fail("short header (%v): %w", err, ErrTruncated)
 	}
 	if got := binary.LittleEndian.Uint64(hdr[0:]); got != tableMagic {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: magic %#x: %w", path, got, ErrBadMagic)
+		return fail("magic %#x: %w", got, ErrBadMagic)
 	}
-	version := binary.LittleEndian.Uint64(hdr[8:])
-	if version != tableVersion && version != tableVersionCompressed {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: version %d (want %d or %d): %w", path, version, tableVersion, tableVersionCompressed, ErrBadVersion)
+	if v := binary.LittleEndian.Uint64(hdr[8:]); v != tableVersion {
+		return fail("version %d (want %d): %w", v, tableVersion, ErrBadVersion)
 	}
 	if nc := binary.LittleEndian.Uint64(hdr[40:]); nc != NumCols {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: stores %d columns, want %d: %w", path, nc, NumCols, ErrBadGeometry)
+		return fail("stores %d columns, want %d: %w", nc, NumCols, ErrBadGeometry)
 	}
 	format := Format(binary.LittleEndian.Uint64(hdr[48:]))
 	if format != NSM && format != DSM {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: unknown format %d: %w", path, int(format), ErrBadGeometry)
-	}
-	if version == tableVersionCompressed && format != DSM {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: compressed v4 requires DSM, got %s: %w", path, format, ErrBadGeometry)
+		return fail("unknown format %d: %w", int(format), ErrBadGeometry)
 	}
 	rows := int64(binary.LittleEndian.Uint64(hdr[16:]))
 	tuplesPerChunk := int64(binary.LittleEndian.Uint64(hdr[24:]))
 	// Validate before building the layout: the layout constructors panic on
 	// non-positive sizes, and a corrupt header must surface as an error.
-	if rows <= 0 || tuplesPerChunk <= 0 {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: bad geometry (rows=%d, tuplesPerChunk=%d): %w", path, rows, tuplesPerChunk, ErrBadGeometry)
+	if rows <= 0 || tuplesPerChunk <= 0 || tuplesPerChunk > math.MaxInt64/TupleBytes() {
+		return fail("bad geometry (rows=%d, tuplesPerChunk=%d): %w", rows, tuplesPerChunk, ErrBadGeometry)
 	}
-	t := newTableFile(f, path, format, rows, tuplesPerChunk,
-		binary.LittleEndian.Uint64(hdr[32:]), int(version))
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: stat: %w", path, err)
+		return fail("stat: %w", err)
 	}
-	// The metadata region (checksum table, plus the v4 directories) must be
-	// fully present before its contents can be trusted.
-	if st.Size() < t.dataOff {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: %d bytes, want at least %d of metadata: %w", path, st.Size(), t.dataOff, ErrTruncated)
+	// Every chunk has a full set of directory entries and an identity-stored
+	// comment stripe, so both must fit in the file. Checked by division, so
+	// a crafted header can neither overflow the arithmetic nor size an
+	// allocation beyond the file.
+	numChunks := rows / tuplesPerChunk
+	if rows%tuplesPerChunk != 0 {
+		numChunks++
 	}
+	if avail := st.Size() - headerBytes - schemeTableBytes; numChunks > avail/metaBytesPerChunk ||
+		tuplesPerChunk > (avail-numChunks*metaBytesPerChunk)/numChunks/colWidths[ColComment] {
+		return fail("%d bytes cannot hold %d chunks of %d tuples: %w", st.Size(), numChunks, tuplesPerChunk, ErrTruncated)
+	}
+	t := newTableFile(f, path, format, rows, tuplesPerChunk, binary.LittleEndian.Uint64(hdr[32:]))
 	meta := make([]byte, t.dataOff-headerBytes)
 	if _, err := f.ReadAt(meta, headerBytes); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: checksum table: %v: %w", path, err, ErrTruncated)
+		return fail("directories: %v: %w", err, ErrTruncated)
 	}
-	for p := range t.sums {
-		t.sums[p] = binary.LittleEndian.Uint64(meta[p*8:])
-	}
-	if t.version == tableVersionCompressed {
-		if err := t.loadV4Directories(meta); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("engine: %s: %w", path, err)
-		}
+	if err := t.loadDirectories(meta); err != nil {
+		return fail("%w", err)
 	}
 	want := t.dataOff + t.StoredBytes()
 	if st.Size() < want {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: %d bytes, want %d: %w", path, st.Size(), want, ErrTruncated)
+		return fail("%d bytes, want %d: %w", st.Size(), want, ErrTruncated)
 	}
 	if st.Size() != want {
-		f.Close()
-		return nil, fmt.Errorf("engine: %s: %d bytes, header promises %d: %w", path, st.Size(), want, ErrBadGeometry)
+		return fail("%d bytes, header promises %d: %w", st.Size(), want, ErrBadGeometry)
 	}
 	return t, nil
 }
 
-// loadV4Directories parses and validates the v4 scheme table, extent length
-// directory and zonemap footer out of the metadata region (everything
-// between the header and the data). Directory inconsistencies are geometry
-// errors: nothing here is trusted to size a read or an allocation until it
-// has been cross-checked against the fixed stripe geometry.
-func (t *TableFile) loadV4Directories(meta []byte) error {
+// loadDirectories parses and validates the checksum table, scheme table,
+// extent length directory and zonemap footer out of the metadata region
+// (everything between the header and the data). Directory inconsistencies
+// are geometry errors: nothing here is trusted to size a read or an
+// allocation until it has been cross-checked against the fixed stripe
+// geometry.
+func (t *TableFile) loadDirectories(meta []byte) error {
+	for p := range t.sums {
+		t.sums[p] = binary.LittleEndian.Uint64(meta[p*8:])
+	}
 	schemeOff := t.NumPages() * 8
 	for j := 0; j < NumCols; j++ {
 		s := meta[schemeOff+int64(j)]
@@ -958,6 +879,8 @@ func (t *TableFile) loadV4Directories(meta []byte) error {
 		case s == schemeIdentity:
 		case j == ColComment:
 			return fmt.Errorf("comment column scheme %#x (want identity): %w", s, ErrBadGeometry)
+		case t.format != DSM:
+			return fmt.Errorf("column %d: scheme %#x on an NSM file (compression is DSM-only): %w", j, s, ErrBadGeometry)
 		case compress.Scheme(s) == compress.Raw || compress.Scheme(s) == compress.PFOR ||
 			compress.Scheme(s) == compress.PFORDelta || compress.Scheme(s) == compress.PDict:
 		default:

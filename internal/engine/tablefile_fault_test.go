@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"coopscan/internal/colstore/compress"
 )
 
 // mutatedCopy writes a mutated copy of tf's bytes into a fresh temp file and
@@ -46,13 +48,24 @@ func TestOpenTypedErrors(t *testing.T) {
 			return raw
 		}, ErrBadVersion},
 		{"future version", func(raw []byte) []byte {
-			binary.LittleEndian.PutUint64(raw[8:], tableVersionCompressed+1)
+			binary.LittleEndian.PutUint64(raw[8:], tableVersion+1)
 			return raw
 		}, ErrBadVersion},
-		{"compressed version on NSM", func(raw []byte) []byte {
-			// v4 is DSM-only: an NSM file whose version says compressed is
-			// a geometry contradiction, not a readable table.
-			binary.LittleEndian.PutUint64(raw[8:], tableVersionCompressed)
+		{"non-identity scheme on NSM", func(raw []byte) []byte {
+			// Compression is DSM-only: an NSM file whose scheme table names
+			// a codec is a geometry contradiction, not a readable table.
+			raw[headerBytes+tf.NumPages()*8+ColShipDate] = byte(compress.PFOR)
+			return raw
+		}, ErrBadGeometry},
+		{"row count beyond the file", func(raw []byte) []byte {
+			// 2^40 one-tuple chunks would need terabytes of directories;
+			// Open must refuse before sizing anything from the header.
+			binary.LittleEndian.PutUint64(raw[16:], 1<<40)
+			binary.LittleEndian.PutUint64(raw[24:], 1)
+			return raw
+		}, ErrTruncated},
+		{"chunk size overflow", func(raw []byte) []byte {
+			binary.LittleEndian.PutUint64(raw[24:], 1<<62)
 			return raw
 		}, ErrBadGeometry},
 		{"zero rows", func(raw []byte) []byte {

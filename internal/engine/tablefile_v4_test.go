@@ -160,17 +160,27 @@ func TestCompressedDiskRatio(t *testing.T) {
 
 // TestCompressedZoneMaps verifies the persisted per-chunk bounds against the
 // generator: for every stored column and chunk, the footer's [lo, hi] must
-// be exactly the min/max of the values the chunk holds — and the comment
-// filler must have no zonemap at all.
+// be exactly the min/max of the values the chunk holds, the raw twin must
+// persist the same bounds, and the comment filler must have no zonemap.
 func TestCompressedZoneMaps(t *testing.T) {
 	const rows, tpc = 20_000, 1000
 	v4 := newTestFileCompressed(t, rows, tpc, 11)
 	raw := newTestFileFormat(t, DSM, rows, tpc, 11)
-	if raw.ZoneMap(ColShipDate) != nil {
-		t.Error("raw v3 file has a zonemap")
-	}
-	if v4.ZoneMap(ColComment) != nil {
+	if v4.ZoneMap(ColComment) != nil || raw.ZoneMap(ColComment) != nil {
 		t.Error("comment column has a zonemap")
+	}
+	// Zonemaps do not depend on the codec: the raw twin persists exactly
+	// the compressed file's bounds.
+	for j := 0; j < NumCols; j++ {
+		if j == ColComment {
+			continue
+		}
+		for c := 0; c < v4.NumChunks(); c++ {
+			rlo, rhi := raw.ZoneMap(j).Bounds(c)
+			if lo, hi := v4.ZoneMap(j).Bounds(c); rlo != lo || rhi != hi {
+				t.Fatalf("col %s chunk %d: raw twin bounds [%d, %d], compressed [%d, %d]", colNames[j], c, rlo, rhi, lo, hi)
+			}
+		}
 	}
 	re, err := Open(v4.Path())
 	if err != nil {

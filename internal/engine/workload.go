@@ -21,7 +21,7 @@ type PlannedQuery struct {
 // PlanWorkload plans the standard live workload deterministically from the
 // seed: per stream, random ranges of 10/25/50/100% of the table at random
 // offsets, every third query SLOW — the shape of the paper's benchmark
-// streams. The cmd/coopscan live subcommand and BenchmarkLiveEngine share
+// streams. The cmd/coopscan multi subcommand and BenchmarkLiveEngine share
 // this planner, so the CLI and the recorded benchmark numbers always run
 // the same queries.
 func PlanWorkload(numChunks, streams, queriesPerStream int, seed uint64) [][]PlannedQuery {

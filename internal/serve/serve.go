@@ -43,9 +43,9 @@ type Config struct {
 	// Default 10s; negative disables.
 	WriteTimeout time.Duration
 	// PruneQ6, when set, attaches the default Q6 predicate ranges to every
-	// Q6-aggregating scan (?agg=q6), so tables with persisted zonemaps
-	// prune chunks that cannot match before they reach the scheduler. Raw
-	// tables ignore the hint; the trailer's aggregate is unchanged either
+	// Q6-aggregating scan (?agg=q6), so every table's persisted zonemaps
+	// prune chunks that cannot match before they reach the scheduler, raw
+	// and compressed alike. The trailer's aggregate is unchanged either
 	// way.
 	PruneQ6 bool
 	// Obs, when non-nil, receives the per-tier session metrics and mounts

@@ -44,7 +44,7 @@ func goldenScan(t *testing.T, tf *engine.TableFile, cols storage.ColSet) (map[in
 	defer eng.Close()
 	crcs := make(map[int]uint32)
 	var agg exec.Q6Result
-	_, err = eng.Scan(0, "golden", storage.NewRangeSet(storage.Range{End: tf.NumChunks()}), cols, func(c int, d engine.ChunkData) {
+	_, err = eng.ScanWith(context.Background(), engine.ScanRequest{Name: "golden", Ranges: storage.NewRangeSet(storage.Range{End: tf.NumChunks()}), Cols: cols}, func(c int, d engine.ChunkData) {
 		crcs[c] = chunkCRC(cols, d)
 		if cols.Intersect(engine.Q6Cols()) == engine.Q6Cols() {
 			agg.Add(engine.Q6Chunk(d, exec.DefaultQ6()))

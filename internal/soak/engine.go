@@ -58,10 +58,10 @@ type engineStream struct {
 }
 
 // RunEngine executes one seeded engine-layer soak: an NSM table, a raw DSM
-// table and a compressed (v4) DSM table — all fault-injected, so corrupted
+// table and a compressed DSM table — all fault-injected, so corrupted
 // compressed extents must heal through CRC-verified retries — under one
 // server, concurrent streams with random ranges — some cancelled mid-scan,
-// some registering Q6 predicate ranges that zonemap-prune the v4 table — a
+// some registering Q6 predicate ranges that zonemap-prune the compressed table — a
 // background auditor freezing and cross-checking the incremental scheduler
 // state while loads retry around it, golden verification of every
 // surviving stream, and the drained-state leak and budget audit after

@@ -69,7 +69,7 @@ func goldenOf(tf *engine.TableFile) (*tableGolden, error) {
 	defer eng.Close()
 	g := &tableGolden{crcs: make([]uint32, tf.NumChunks()), q6: make([]exec.Q6Result, tf.NumChunks())}
 	cols := engine.Q6Cols()
-	_, err = eng.Scan(0, "golden", storage.NewRangeSet(storage.Range{End: tf.NumChunks()}), cols, func(c int, d engine.ChunkData) {
+	_, err = eng.ScanWith(context.Background(), engine.ScanRequest{Name: "golden", Ranges: storage.NewRangeSet(storage.Range{End: tf.NumChunks()}), Cols: cols}, func(c int, d engine.ChunkData) {
 		crc := uint32(0)
 		cols.Each(func(col int) {
 			crc = crc32.Update(crc, crc32.IEEETable, d.Col(col)[:d.Tuples()*engine.ColWidth(col)])

@@ -22,7 +22,7 @@
 // derive their RNG from (seed, stream index), so any experiment, CLI run
 // or benchmark that names the same spec re-executes byte-identical
 // workloads — which is what lets the decision-baseline golden pin
-// scheduler behaviour across refactors, and lets `coopscan live`/`multi`
+// scheduler behaviour across refactors, and lets `coopscan multi`
 // report numbers for exactly the workload the recorded benchmarks ran.
 package workload
 

@@ -18,6 +18,7 @@
 package coopscan_test
 
 import (
+	"context"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -49,9 +50,9 @@ func liveBenchFile(b *testing.B, format engine.Format) *engine.TableFile {
 	return tf
 }
 
-// runLiveBenchWorkload executes one full planned workload over an engine
-// and returns the queries' summed useful bytes.
-func runLiveBenchWorkload(b *testing.B, eng *engine.Engine, plan [][]engine.PlannedQuery) int64 {
+// runLiveBenchWorkload executes one full planned workload over a
+// single-table server and returns the queries' summed useful bytes.
+func runLiveBenchWorkload(b *testing.B, srv *engine.Server, plan [][]engine.PlannedQuery) int64 {
 	b.Helper()
 	pred := exec.DefaultQ6()
 	var wg sync.WaitGroup
@@ -70,7 +71,7 @@ func runLiveBenchWorkload(b *testing.B, eng *engine.Engine, plan [][]engine.Plan
 				if q.Slow {
 					onChunk = func(_ int, d engine.ChunkData) { engine.Q1Chunk(d, 700, 8) }
 				}
-				st, err := eng.Scan(q.Name, q.Ranges, q.Cols, onChunk)
+				st, err := srv.ScanWith(context.Background(), engine.ScanRequest{Name: q.Name, Ranges: q.Ranges, Cols: q.Cols}, onChunk)
 				mu.Lock()
 				useful += st.BytesUseful
 				if err != nil && scanErr == nil {
@@ -95,8 +96,8 @@ func BenchmarkLiveEngine(b *testing.B) {
 		format := format
 		b.Run(format.String(), func(b *testing.B) {
 			tf := liveBenchFile(b, format)
-			// The exact workload `coopscan live` runs (shared planner), so
-			// the recorded numbers match the CLI.
+			// The exact workload `coopscan multi -tables 1` runs (shared
+			// planner), so the recorded numbers match the CLI.
 			plan := engine.PlanWorkload(tf.NumChunks(), liveBenchStreams, liveBenchQueries, liveBenchSeed)
 			for _, pol := range core.Policies {
 				pol := pol
@@ -104,18 +105,18 @@ func BenchmarkLiveEngine(b *testing.B) {
 					var abmLoads int
 					var bytesRead, bytesUseful int64
 					for i := 0; i < b.N; i++ {
-						eng, err := engine.New(tf, engine.Config{
+						srv, err := engine.NewServer(engine.ServerConfig{
 							Policy:      pol,
 							BufferBytes: 8 * tf.ChunkBytes(),
-						})
+						}, tf)
 						if err != nil {
 							b.Fatal(err)
 						}
-						bytesUseful += runLiveBenchWorkload(b, eng, plan)
-						stats := eng.Stats()
-						abmLoads += stats.ABM.Loads
+						bytesUseful += runLiveBenchWorkload(b, srv, plan)
+						stats := srv.Stats()
+						abmLoads += stats.Tables[0].ABM.Loads
 						bytesRead += stats.Pool.BytesLoaded
-						eng.Close()
+						srv.Close()
 					}
 					n := float64(b.N)
 					b.ReportMetric(float64(abmLoads)/n, "abm-loads/op")
@@ -148,17 +149,17 @@ func BenchmarkLiveColumnIO(b *testing.B) {
 				b.Run(pol.String(), func(b *testing.B) {
 					var bytesRead, bytesUseful int64
 					for i := 0; i < b.N; i++ {
-						eng, err := engine.New(tf, engine.Config{
+						srv, err := engine.NewServer(engine.ServerConfig{
 							Policy:      pol,
 							BufferBytes: 8 * tf.ChunkBytes(),
-						})
+						}, tf)
 						if err != nil {
 							b.Fatal(err)
 						}
-						bytesUseful += runLiveBenchWorkload(b, eng, plan)
-						stats := eng.Stats()
+						bytesUseful += runLiveBenchWorkload(b, srv, plan)
+						stats := srv.Stats()
 						bytesRead += stats.Pool.BytesLoaded
-						eng.Close()
+						srv.Close()
 					}
 					n := float64(b.N)
 					b.ReportMetric(float64(bytesRead)/n/(1<<20), "MiB-read/op")

@@ -11,6 +11,7 @@
 package coopscan_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -157,7 +158,7 @@ func runLiveSchedBench(b *testing.B, tfs []*engine.TableFile, plans [][][]engine
 						if q.Slow {
 							onChunk = func(_ int, d engine.ChunkData) { engine.Q1Chunk(d, 700, 8) }
 						}
-						if _, err := srv.Scan(table, q.Name, q.Ranges, q.Cols, onChunk); err != nil {
+						if _, err := srv.ScanWith(context.Background(), engine.ScanRequest{Table: table, Name: q.Name, Ranges: q.Ranges, Cols: q.Cols}, onChunk); err != nil {
 							mu.Lock()
 							if scanErr == nil {
 								scanErr = err

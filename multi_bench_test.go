@@ -25,6 +25,7 @@
 package coopscan_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -106,7 +107,7 @@ func BenchmarkMultiTableLive(b *testing.B) {
 									if q.Slow {
 										onChunk = func(_ int, d engine.ChunkData) { engine.Q1Chunk(d, 700, 8) }
 									}
-									st, err := srv.Scan(table, q.Name, q.Ranges, q.Cols, onChunk)
+									st, err := srv.ScanWith(context.Background(), engine.ScanRequest{Table: table, Name: q.Name, Ranges: q.Ranges, Cols: q.Cols}, onChunk)
 									mu.Lock()
 									if err != nil && scanErr == nil {
 										scanErr = err

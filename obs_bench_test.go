@@ -13,6 +13,7 @@
 package coopscan_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -80,7 +81,7 @@ func runObsWorkload(tb testing.TB, tfs []*engine.TableFile, plans [][][]engine.P
 					if q.Slow {
 						onChunk = func(_ int, d engine.ChunkData) { engine.Q1Chunk(d, 700, 8) }
 					}
-					if _, err := srv.Scan(table, q.Name, q.Ranges, q.Cols, onChunk); err != nil {
+					if _, err := srv.ScanWith(context.Background(), engine.ScanRequest{Table: table, Name: q.Name, Ranges: q.Ranges, Cols: q.Cols}, onChunk); err != nil {
 						mu.Lock()
 						if scanErr == nil {
 							scanErr = err
