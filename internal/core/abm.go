@@ -52,10 +52,10 @@
 //     so registration seeds availability without a table scan.
 //   - Victim selection is heap-ordered. The LRU policies pop off
 //     bufcache.lruHeap, an indexed heap maintained at every load, touch,
-//     unpin and evict; the relevance policy builds a keepRelevance heap
-//     once per eviction round with its scores frozen at build time and pops
-//     victims in O(log poolParts), instead of rescanning the pool per freed
-//     part.
+//     unpin and evict; the relevance policy keeps every resident part in a
+//     keepRelevance victim heap, re-keys only the chunks whose counters or
+//     residency changed since the last eviction round, and pops victims in
+//     O(log poolParts), instead of rescanning the pool per freed part.
 //
 // The resulting per-decision cost is O(affected entries): selecting a load
 // candidate pops a heap of the starved queries and walks one query's
@@ -65,12 +65,10 @@
 // order-preserving removal from its loaded-parts slice and the
 // per-registered-query availability update — linear walks with trivial
 // constants, kept because the DSM useless-column pass depends on the
-// slice's load order; see bufcache.evict.) Decision *outcomes* are
-// bit-identical to the rescanning implementation:
-// the eviction heap freezes scores and guards exactly where the old code
-// snapshotted its starvation caches, so mid-pass flips cannot change
-// victim choice, and every heap order embeds the historical (chunk, col)
-// tie-breaks.
+// slice's load order; see bufcache.evict.) AuditIncremental cross-checks
+// every heap against its linear reference (queryRelevance,
+// keepRelevanceScore), and every heap order embeds the (chunk, col) or
+// registration-order tie-breaks, so decisions are deterministic.
 package core
 
 import (
@@ -136,18 +134,6 @@ type Config struct {
 	// (live mode).
 	ChunkCost float64
 
-	// DecisionVersion selects the decision-compatibility contract. Version 1
-	// (the default for simulation ABMs) keeps every scheduling decision
-	// byte-identical to the checked-in golden: candidate ranking and victim
-	// selection run exactly the historical code paths. Version 2 (the
-	// default for live ABMs, which have no decision golden) is free to make
-	// equally-good decisions differently, which lets the relevance policy
-	// keep its candidate ranking and eviction heap fully incremental —
-	// O(log n) per decision with no per-round rebuilds — so scheduling cost
-	// stays flat into the thousands of streams. Zero resolves per
-	// constructor; explicit values pin either contract in either mode.
-	DecisionVersion int
-
 	// NoShortQueryPriority disables the -chunksNeeded(q) term of
 	// queryRelevance (ablation: queries are then served round-robin-ish by
 	// waiting time alone).
@@ -212,15 +198,13 @@ type ABM struct {
 	// relevance loader's NextLoad. Membership is re-derived by
 	// updateStarveFlags at every event that can change it, so a failing
 	// decision round (nothing loadable anywhere) is an O(1) empty-slice
-	// check instead of a walk over every registered query. Under decision
-	// version 1 the order is arbitrary (swap-remove) and NextLoad ranks
-	// candidates by (queryRelevance, registration seq), a total order
-	// independent of it. Under version 2 the slice is an indexed min-heap
-	// on Query.candKey (equivalent ranking, maintained incrementally) and
-	// Query.loadPos is the heap slot.
+	// check instead of a walk over every registered query. The slice is an
+	// indexed min-heap on Query.candKey (the (queryRelevance, registration
+	// seq) ranking, maintained incrementally) and Query.loadPos is the heap
+	// slot.
 	loadCands []*Query
 	regSeq    int
-	// candDirty marks the v2 candidate heap stale: candKey embeds the
+	// candDirty marks the candidate heap stale: candKey embeds the
 	// registered-query count (the wait-normalisation denominator), so a
 	// register or unregister shifts every key. NextLoad re-keys and
 	// re-heapifies lazily — one rebuild per registry change, not per
@@ -229,10 +213,6 @@ type ABM struct {
 	// candAside is NextLoad's scratch for popped candidates with nothing
 	// loadable; they are re-pushed after the decision.
 	candAside []*Query
-
-	// v2 is true when the effective DecisionVersion is >= 2 (see
-	// Config.DecisionVersion).
-	v2 bool
 
 	// blockedCount tracks how many registered queries are currently marked
 	// blocked (Query.SetBlocked), so the relevance policy's "is every query
@@ -255,13 +235,12 @@ type ABM struct {
 	// strict-total-order extremum, so decisions are order-independent.
 	chunkQueries [][]*Query
 
-	// vicDirty/vicDirtyList (allocated only for relevance ABMs under
-	// decision version 2) mark chunks whose interest counters or residency
-	// changed since the incremental victim heap last re-keyed them. Marking
-	// is O(1) at the sites that already touch the chunk; the heap re-keys
-	// the marked chunks' resident parts lazily at the next eviction round,
-	// so a round's cost is proportional to what actually changed, not to
-	// the pool.
+	// vicDirty/vicDirtyList (allocated only for relevance ABMs) mark chunks
+	// whose interest counters or residency changed since the incremental
+	// victim heap last re-keyed them. Marking is O(1) at the sites that
+	// already touch the chunk; the heap re-keys the marked chunks' resident
+	// parts lazily at the next eviction round, so a round's cost is
+	// proportional to what actually changed, not to the pool.
 	vicDirty     []bool
 	vicDirtyList []int
 
@@ -348,13 +327,8 @@ type strategy interface {
 	next(p *sim.Proc, q *Query) (chunk int, ok bool)
 }
 
-// New creates an ABM over the layout, backed by the simulated disk. Unless
-// the config pins a DecisionVersion, simulation ABMs run version 1: every
-// decision stays byte-identical to the checked-in golden.
+// New creates an ABM over the layout, backed by the simulated disk.
 func New(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
-	if cfg.DecisionVersion == 0 {
-		cfg.DecisionVersion = 1
-	}
 	a := newABM(env, layout, cfg)
 	a.env = env
 	a.disk = d
@@ -377,15 +351,9 @@ func New(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
 // NewLive creates a simulation-free ABM: bookkeeping plus the policy
 // decision core, driven externally (by internal/engine) under the given
 // clock. Central loader processes are never started; the engine's
-// scheduler goroutine polls Policy().NextLoad instead. Unless the config
-// pins a DecisionVersion, live ABMs run version 2 (no decision golden binds
-// them), which keeps relevance candidate ranking and victim selection fully
-// incremental at high stream counts.
+// scheduler goroutine polls Policy().NextLoad instead.
 func NewLive(clock Clock, layout storage.Layout, cfg Config) *ABM {
 	cfg.DisableLoader = true
-	if cfg.DecisionVersion == 0 {
-		cfg.DecisionVersion = 2
-	}
 	a := newABM(clock, layout, cfg)
 	if a.chunkCost == 0 {
 		// Waiting-time normalisation only; any plausible per-chunk load
@@ -410,12 +378,11 @@ func newABM(clock Clock, layout storage.Layout, cfg Config) *ABM {
 		chunkQueries:    make([][]*Query, layout.NumChunks()),
 		chunkCost:       cfg.ChunkCost,
 		timeBase:        time.Now(),
-		v2:              cfg.DecisionVersion >= 2,
 	}
 	if layout.Columnar() {
 		a.groupIdx = make(map[storage.ColSet]*colGroup)
 	}
-	if a.v2 && cfg.Policy == Relevance {
+	if cfg.Policy == Relevance {
 		a.vicDirty = make([]bool, layout.NumChunks())
 	}
 	switch cfg.Policy {
@@ -512,10 +479,8 @@ func (a *ABM) Register(q *Query) {
 			q.availList = append(q.availList, c)
 		}
 	}
-	if a.v2 {
-		for i := len(q.availList)/2 - 1; i >= 0; i-- {
-			q.availSiftDown(i)
-		}
+	for i := len(q.availList)/2 - 1; i >= 0; i-- {
+		q.availSiftDown(i)
 	}
 	a.updateStarveFlags(q)
 	a.refreshDemand(q)
@@ -748,8 +713,8 @@ func (a *ABM) updateStarveFlags(q *Query) {
 	}
 }
 
-// dropLoadCand removes q from the loadCands index (swap-remove; under
-// decision version 2 the swapped-in query is sifted to keep the heap order).
+// dropLoadCand removes q from the loadCands index (swap-remove, then the
+// swapped-in query is sifted to keep the heap order).
 func (a *ABM) dropLoadCand(q *Query) {
 	i := q.loadPos
 	if i < 0 {
@@ -761,23 +726,20 @@ func (a *ABM) dropLoadCand(q *Query) {
 	moved.loadPos = i
 	a.loadCands = a.loadCands[:last]
 	q.loadPos = -1
-	if a.v2 && i < last && !a.candDirty {
+	if i < last && !a.candDirty {
 		if !a.candSiftDown(i) {
 			a.candSiftUp(i)
 		}
 	}
 }
 
-// addLoadCand inserts q into the loadCands index: plain append under
-// version 1, a keyed heap push under version 2.
+// addLoadCand inserts q into the loadCands index: a keyed heap push.
 func (a *ABM) addLoadCand(q *Query) {
 	q.loadPos = len(a.loadCands)
 	a.loadCands = append(a.loadCands, q)
-	if a.v2 {
-		q.candKey = a.candKeyOf(q)
-		if !a.candDirty {
-			a.candSiftUp(q.loadPos)
-		}
+	q.candKey = a.candKeyOf(q)
+	if !a.candDirty {
+		a.candSiftUp(q.loadPos)
 	}
 }
 
@@ -799,9 +761,8 @@ func (a *ABM) candKeyOf(q *Query) float64 {
 	return k
 }
 
-// candLess is the v2 candidate-heap order: lowest key first (highest
-// relevance), registration sequence breaking exact ties — the same strict
-// total order version 1's candBefore sorts by.
+// candLess is the candidate-heap order: lowest key first (highest
+// relevance), registration sequence breaking exact ties.
 func candLess(x, y *Query) bool {
 	if x.candKey != y.candKey {
 		return x.candKey < y.candKey
@@ -811,7 +772,7 @@ func candLess(x, y *Query) bool {
 
 // candFix re-sites q after its key inputs (remaining, lastService) changed.
 func (a *ABM) candFix(q *Query) {
-	if !a.v2 || q.loadPos < 0 || a.candDirty {
+	if q.loadPos < 0 || a.candDirty {
 		return
 	}
 	q.candKey = a.candKeyOf(q)
@@ -890,9 +851,8 @@ func (a *ABM) refreshDemand(q *Query) {
 }
 
 // markVicDirty flags chunk c for re-keying in the incremental victim heap
-// (no-op unless the ABM maintains one: relevance policy under decision
-// version 2). O(1); the heap re-keys the chunk's resident parts at the next
-// eviction round.
+// (no-op unless the ABM maintains one: the relevance policy). O(1); the
+// heap re-keys the chunk's resident parts at the next eviction round.
 func (a *ABM) markVicDirty(c int) {
 	if a.vicDirty == nil || a.vicDirty[c] {
 		return
@@ -926,18 +886,16 @@ func (a *ABM) bumpNeededCounts(counts, groupCounts []int, q *Query, delta int) {
 }
 
 // gainAvailability records that chunk c became fully resident for q.
-// Under decision version 2 the availability list is an indexed min-heap on
-// the chunk id, so the sequential-order pickers read their next chunk at
-// the root; the per-stream waker (live engine) fires on every gain.
+// The availability list is an indexed min-heap on the chunk id, so the
+// sequential-order pickers read their next chunk at the root; the
+// per-stream waker (live engine) fires on every gain.
 func (a *ABM) gainAvailability(q *Query, c int) {
 	if q.availPos[c] >= 0 {
 		return
 	}
 	q.availPos[c] = len(q.availList)
 	q.availList = append(q.availList, c)
-	if a.v2 {
-		q.availSiftUp(len(q.availList) - 1)
-	}
+	q.availSiftUp(len(q.availList) - 1)
 	a.updateStarveFlags(q)
 	if q.waker != nil {
 		q.waker()
@@ -957,7 +915,7 @@ func (a *ABM) loseAvailability(q *Query, c int) {
 	q.availPos[moved] = i
 	q.availList = q.availList[:last]
 	q.availPos[c] = -1
-	if a.v2 && i < last {
+	if i < last {
 		if !q.availSiftDown(i) {
 			q.availSiftUp(i)
 		}

@@ -36,7 +36,7 @@ func (a *ABM) AuditIncremental() error {
 	if err := a.auditChunkQueries(); err != nil {
 		return err
 	}
-	if err := a.auditV2Heaps(); err != nil {
+	if err := a.auditHeaps(); err != nil {
 		return err
 	}
 	return a.auditByteAccounting()
@@ -355,15 +355,12 @@ func (a *ABM) auditChunkQueries() error {
 	return nil
 }
 
-// auditV2Heaps checks the decision-version-2 incremental structures: the
-// per-query availability min-heaps, the candidate heap (keys, order, and its
-// argmin against a linear queryRelevance scan — the incremental-vs-reference
+// auditHeaps checks the incremental scheduler heaps: the per-query
+// availability min-heaps, the candidate heap (keys, order, and its argmin
+// against a linear queryRelevance scan — the incremental-vs-reference
 // cross-check), and the relevance victim heap (membership, slots, order, and
 // non-dirty scores against the live keepRelevanceScore).
-func (a *ABM) auditV2Heaps() error {
-	if !a.v2 {
-		return nil
-	}
+func (a *ABM) auditHeaps() error {
 	for _, q := range a.queries {
 		h := q.availList
 		for i := 1; i < len(h); i++ {
@@ -381,10 +378,10 @@ func (a *ABM) auditV2Heaps() error {
 				return fmt.Errorf("core: candidate heap order violated at slot %d (%s)", i, q.Name)
 			}
 		}
-		// Cross-check the heap argmin against a linear queryRelevance scan —
-		// the version-1 reference ranking. candKey is an exact algebraic
-		// transform of queryRelevance, but the two compute through different
-		// float operations, so the comparison carries a relative tolerance.
+		// Cross-check the heap argmin against a linear queryRelevance scan,
+		// the reference ranking. candKey is an exact algebraic transform of
+		// queryRelevance, but the two compute through different float
+		// operations, so the comparison carries a relative tolerance.
 		if rs := a.relev; rs != nil && len(a.loadCands) > 0 {
 			best := a.loadCands[0]
 			br := rs.queryRelevance(best)

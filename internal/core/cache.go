@@ -38,8 +38,8 @@ type part struct {
 	lruIdx    int     // slot in the cache's LRU victim heap, or -1
 
 	// vicIdx/vicScore site the part in the relevance policy's incremental
-	// victim heap (decision version 2 only): vicIdx is the heap slot or -1,
-	// vicScore the keepRelevance score the part was last keyed with.
+	// victim heap: vicIdx is the heap slot or -1, vicScore the
+	// keepRelevance score the part was last keyed with.
 	vicIdx   int
 	vicScore float64
 }

@@ -43,16 +43,15 @@ type Query struct {
 	group *colGroup
 
 	// seq is the query's registration sequence number: the relevance
-	// loader's tie-break for equal queryRelevance (historically, the
-	// registry iteration order of a stable sort).
+	// loader's tie-break for equal queryRelevance.
 	seq int
 	// loadPos is the query's slot in the ABM's loadCands index (the
 	// starved queries with something left to load), or -1. Maintained by
 	// updateStarveFlags at every availability or consumption event.
-	// Under decision version 2 loadCands is a min-heap keyed by candKey
-	// and loadPos is the heap slot.
+	// loadCands is a min-heap keyed by candKey and loadPos is the heap
+	// slot.
 	loadPos int
-	// candKey is the query's v2 candidate-heap key: an affine transform of
+	// candKey is the query's candidate-heap key: an affine transform of
 	// -queryRelevance whose time term cancels across candidates, so the key
 	// only changes when the query's remaining count or service stamp does.
 	candKey float64
@@ -78,7 +77,7 @@ type Query struct {
 	// as if it had remaining/w chunks left. SLO tiers set it (>1 for
 	// interactive traffic); the default 1 is exact float identity with the
 	// unweighted formula, and because the division touches only the
-	// remaining term, the v2 candidate key stays a time-free transform.
+	// remaining term, the candidate key stays a time-free transform.
 	weight float64
 
 	enterTime   float64
@@ -187,11 +186,10 @@ func (q *Query) Weight() float64 { return q.weight }
 // itself a gain event. Nil uninstalls.
 func (q *Query) SetWaker(fn func()) { q.waker = fn }
 
-// availSiftUp/availSiftDown maintain the decision-version-2 shape of
-// availList: an indexed min-heap on the chunk id (availPos doubles as the
-// heap slot), so the lowest available chunk sits at the root and membership
-// changes cost O(log available) instead of leaving the pickers to walk the
-// list. Version 1 keeps the historical unordered swap-remove list.
+// availSiftUp/availSiftDown maintain the shape of availList: an indexed
+// min-heap on the chunk id (availPos doubles as the heap slot), so the
+// lowest available chunk sits at the root and membership changes cost
+// O(log available) instead of leaving the pickers to walk the list.
 func (q *Query) availSiftUp(i int) {
 	h := q.availList
 	for i > 0 {

@@ -47,6 +47,38 @@ func TestMakeSpaceGuardedPassProtectsStarved(t *testing.T) {
 	}
 }
 
+// TestMakeSpaceGuardSeesMidRoundStarvation: the guarded pass checks
+// "useful to a starved query" when it pops a victim, not once at the start
+// of the round. Evicting the first victim starves its query, so that
+// query's other resident chunk becomes useful to a starved query and must
+// be spared, even though it was unprotected when the round began.
+func TestMakeSpaceGuardSeesMidRoundStarvation(t *testing.T) {
+	f, rs := relevFixture(t, nsmTestLayout(20), 2)
+	trigger := f.register("trigger", rangeOf(0, 4), 0)
+	q := f.register("q", rangeOf(10, 13), 0)
+	f.load(t, 10, 0)
+	f.load(t, 11, 0)
+	if q.starved || !q.almostStarved {
+		t.Fatalf("setup: q avail=%d, want 2 (almost-starved, not starved)", q.available())
+	}
+	trigger.SetBlocked(true)
+	// Chunks 10 and 11 tie on keepRelevance; the (chunk, col) tie-break
+	// makes chunk 10 the first victim.
+	if rs.EnsureSpace(2*chunkSize(f), trigger) {
+		t.Fatal("guarded pass freed the whole pool, evicting the newly starved query's chunk")
+	}
+	if !q.starved {
+		t.Fatalf("q avail=%d after the first eviction, want starved", q.available())
+	}
+	if got := f.abm.Stats().Evictions; got != 1 {
+		t.Fatalf("evictions = %d, want 1", got)
+	}
+	if f.abm.cache.state(partKey{chunk: 11, col: -1}) != partLoaded {
+		t.Fatal("chunk 11, useful to starved q, was evicted by the guarded pass")
+	}
+	auditIncrementalState(t, f.abm, "after guarded pass")
+}
+
 // TestMakeSpaceRelaxedPassWhenAllBlocked: same pool state, but with every
 // query blocked the relaxed pass may now evict the starved queries' chunks
 // (avoiding the DSM-corner deadlock the paper's greedy approach misses) —

@@ -79,22 +79,23 @@ func heapVictimLRU(a *ABM, keep func(*part) bool) *part {
 }
 
 // heapVictimKeep selects the relevance policy's next victim for the given
-// pass (0 guarded, 1 relaxed, 2 last-resort) from a freshly built keep
-// heap, without evicting.
+// pass (0 guarded, 1 relaxed, 2 last-resort) the way EnsureSpace does —
+// re-key the dirty chunks, then take the vicBefore-minimum of the
+// persistent victim heap among the parts the pass may evict — without
+// evicting.
 func heapVictimKeep(rs *relevStrategy, trigger *Query, pass int) *part {
-	rs.buildKeepHeap(trigger)
-	ens := append([]keepEntry(nil), rs.keepHeap...)
-	if pass >= 1 {
-		ens = append(ens, rs.keepUseful...)
-	}
-	if pass >= 2 {
-		ens = append(ens, rs.keepTrigger...)
-	}
+	a := rs.a
+	rs.flushVicDirty()
 	var victim *part
-	var best keepEntry
-	for _, en := range ens {
-		if victim == nil || keepBefore(en, best) {
-			victim, best = en.p, en
+	for _, p := range rs.vHeap {
+		c := p.key.chunk
+		if a.blockedFromEviction(p) ||
+			(pass < 2 && trigger.needed[c]) ||
+			(pass < 1 && a.starvedInterest[c] > 0) {
+			continue
+		}
+		if victim == nil || vicBefore(p, victim) {
+			victim = p
 		}
 	}
 	return victim
@@ -235,18 +236,15 @@ func keyOf(p *part) interface{} {
 // event.
 func TestVictimSelectionMatchesLinearReference(t *testing.T) {
 	for _, columnar := range []bool{false, true} {
-		for _, version := range []int{1, 2} {
-			columnar, version := columnar, version
-			t.Run(fmt.Sprintf("columnar=%v/v%d", columnar, version), func(t *testing.T) {
-				for seed := int64(0); seed < 10; seed++ {
-					runVictimCrossCheck(t, columnar, version, seed)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("columnar=%v", columnar), func(t *testing.T) {
+			for seed := int64(0); seed < 10; seed++ {
+				runVictimCrossCheck(t, columnar, seed)
+			}
+		})
 	}
 }
 
-func runVictimCrossCheck(t *testing.T, columnar bool, version int, seed int64) {
+func runVictimCrossCheck(t *testing.T, columnar bool, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed*104729 + 17))
 	numChunks := 8 + rng.Intn(24)
@@ -267,7 +265,6 @@ func runVictimCrossCheck(t *testing.T, columnar bool, version int, seed int64) {
 	}
 	a := New(env, d, layout, Config{
 		Policy: Relevance, BufferBytes: buf, DisableLoader: true,
-		DecisionVersion: version,
 	})
 	rs := a.strat.(*relevStrategy)
 

@@ -9,8 +9,9 @@ package experiments
 //
 //   - TestDecisionBaselineConformance diffs the current decisions against
 //     the checked-in golden baseline (testdata/decision_baseline.txt),
-//     captured before the SchedulerPolicy extraction that the live engine
-//     shares. It runs on every `go test` and fails on any drift. After an
+//     last re-captured when the relevance policy's eviction guard moved
+//     from round start to pop time. It runs on every `go test` and fails
+//     on any drift. After an
 //     *intentional* scheduling change, regenerate the golden file with
 //     -capture (below) and commit it with the change.
 //

@@ -191,10 +191,14 @@ func (e *Env) ProcessAt(name string, delay float64, fn func(*Proc)) *Proc {
 
 // run is the goroutine body wrapping the user function.
 func (p *Proc) run() {
+	// Deferred so that a body ending in runtime.Goexit (a test's t.Fatal)
+	// still hands control back instead of wedging the scheduler.
+	defer func() {
+		p.state = StateDone
+		p.env.liveProc--
+		p.env.sched <- struct{}{}
+	}()
 	p.fn(p)
-	p.state = StateDone
-	p.env.liveProc--
-	p.env.sched <- struct{}{}
 }
 
 // yield hands control back to the scheduler and blocks until this process is

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -56,6 +57,28 @@ func TestProcessAtDelay(t *testing.T) {
 	}
 	if start != 3.25 {
 		t.Errorf("started at %v, want 3.25", start)
+	}
+}
+
+// TestGoexitEndsProcess: a body that leaves through runtime.Goexit, as a
+// t.Fatal inside a simulated process does, must end that process and let
+// the rest of the simulation run instead of wedging the scheduler.
+func TestGoexitEndsProcess(t *testing.T) {
+	env := NewEnv()
+	env.Process("quits", func(p *Proc) {
+		p.Wait(1)
+		runtime.Goexit()
+	})
+	done := false
+	env.Process("other", func(p *Proc) {
+		p.Wait(2)
+		done = true
+	})
+	if err := env.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if !done || env.LiveProcs() != 0 {
+		t.Fatalf("done=%v live=%d after Run, want true/0", done, env.LiveProcs())
 	}
 }
 

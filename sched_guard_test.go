@@ -1,27 +1,30 @@
-// TestSchedScalingGuard is the regression fence around the PR-4 flat
+// TestSchedScalingGuard is the regression fence around the flat relevance
 // scheduler: it re-measures the simulator's q64 and q512 decision costs in
-// one process and fails if q512 regresses more than 2× against the
-// BENCH_PR4 baseline. The guard compares the q512/q64 *ratio* rather than
+// one process and fails if the q512/q64 ratio regresses more than 2×
+// against the recorded baseline. The guard compares the *ratio* rather than
 // absolute nanoseconds — q64 measured in the same process is the
 // machine-speed proxy, so the test is meaningful on a noisy CI box where
-// the recorded 110.9 ns/decision itself is not. BENCH_PR4.json recorded
-// q64 = 167.3 and q512 = 110.9 sched-ns/decision (ratio 0.663, i.e. the
-// heap-based paths keep per-decision cost flat as queries grow 8×); a
-// reintroduced linear walk makes q512 scale with the query count and blows
-// straight through the 2× fence.
+// the absolute ns/decision is not. The baseline is the median of 16
+// best-of-three measurements on a 2-core x86-64 VM: q64 = 107.0 and
+// q512 = 121.3 sched-ns/decision (ratio 1.13, i.e. the heap-based paths
+// keep per-decision cost flat as queries grow 8×; the runs spread
+// 0.88–1.30).
+// A reintroduced per-decision walk over the registered queries makes q512
+// scale with the query count and blows straight through the 2× fence.
 package coopscan_test
 
 import (
+	"runtime"
 	"testing"
 
 	"coopscan/internal/experiments"
 )
 
-// The BENCH_PR4.json flat baseline: sched-ns/decision at q64 (unbatched
-// stream shape, comparable to PR 1–3) and q512 (StreamBatch 16).
+// The flat baseline: median sched-ns/decision at q64 (unbatched stream
+// shape) and q512 (StreamBatch 16).
 const (
-	baselineQ64PerDecision  = 167.3
-	baselineQ512PerDecision = 110.9
+	baselineQ64PerDecision  = 107.0
+	baselineQ512PerDecision = 121.3
 )
 
 func TestSchedScalingGuard(t *testing.T) {
@@ -34,25 +37,31 @@ func TestSchedScalingGuard(t *testing.T) {
 		opts := quick
 		opts.Queries = []int{queries}
 		opts.StreamBatch = batch
-		// Best of three runs: per-decision cost is a mean over ~25k–58k
-		// decisions already, but a GC pause or scheduler hiccup on a busy
-		// box can still inflate a single run.
-		best := 0.0
-		for i := 0; i < 3; i++ {
-			r := experiments.SchedScaling(opts)
-			pd := r.Points[len(r.Points)-1].PerDecision
-			if pd <= 0 {
-				t.Fatalf("q%d: no decisions measured", queries)
-			}
-			if best == 0 || pd < best {
-				best = pd
-			}
+		// Start each run from a collected heap, so a GC cycle the previous
+		// run left pending does not assist inside this run's decisions.
+		runtime.GC()
+		r := experiments.SchedScaling(opts)
+		pd := r.Points[len(r.Points)-1].PerDecision
+		if pd <= 0 {
+			t.Fatalf("q%d: no decisions measured", queries)
 		}
-		return best
+		return pd
 	}
 
-	q64 := measure(64, 1)
-	q512 := measure(512, 16)
+	// Best of three runs per point: per-decision cost is a mean over
+	// ~25k–58k decisions already, but a GC pause or scheduler hiccup on a
+	// busy box can still inflate a single run. The q64 and q512 runs
+	// alternate, so a burst of load from other processes hits both points
+	// rather than only the one measured while it lasts.
+	var q64, q512 float64
+	for i := 0; i < 3; i++ {
+		if pd := measure(64, 1); i == 0 || pd < q64 {
+			q64 = pd
+		}
+		if pd := measure(512, 16); i == 0 || pd < q512 {
+			q512 = pd
+		}
+	}
 	t.Logf("q64 = %.1f ns/decision, q512 = %.1f ns/decision (baseline %.1f / %.1f)",
 		q64, q512, baselineQ64PerDecision, baselineQ512PerDecision)
 
