@@ -18,13 +18,17 @@
 // The typical flow is:
 //
 //	layout := coopscan.NewRowLayout(coopscan.Lineitem(1), 16<<20)
-//	sys := coopscan.NewSystem(layout, coopscan.Config{
+//	sys := coopscan.NewSystem(coopscan.Config{
 //		Policy:      coopscan.Relevance,
 //		BufferBytes: 64 * 16 << 20,
-//	})
+//	}, layout)
 //	sys.AddStream(0, coopscan.Scan{Name: "q1", Ranges: coopscan.FullTable(layout)})
 //	sys.AddStream(3, coopscan.Scan{Name: "q2", Ranges: coopscan.FullTable(layout)})
 //	report, err := sys.Run()
+//
+// A System over several layouts runs scans of several tables against one
+// disk, one CPU pool and one buffer budget (§7.1); each Scan then names its
+// table.
 //
 // See the examples/ directory for complete programs, and cmd/coopscan for
 // the experiment harness that regenerates every table and figure of the
@@ -116,28 +120,29 @@ func FullTable(l Layout) RangeSet {
 
 // Config parameterises a System.
 type Config struct {
-	// Policy is the scheduling policy; default Relevance.
+	// Policy is the scheduling policy; the zero value is Normal.
 	Policy Policy
-	// BufferBytes is the ABM pool capacity; required.
+	// BufferBytes is the total ABM pool capacity; required.
 	BufferBytes int64
-	// CPUCores models the processing parallelism; default 2.
-	CPUCores int
 	// Disk overrides the device model; zero value uses the paper-like
 	// defaults (~210 MB/s sequential, 8 ms seek).
 	Disk DiskParams
-	// CPUQuantum is the preemption slice in seconds; default 10 ms.
-	CPUQuantum float64
-	// StarveThreshold, ElevatorWindow and Prefetch tune the policies; zero
-	// values use the paper's defaults (2, 4, 1).
-	StarveThreshold int
-	ElevatorWindow  int
-	Prefetch        int
 }
+
+// The simulated CPU: the paper's dual-core machine, time-shared in 10 ms
+// preemption slices.
+const (
+	cpuCores   = 2
+	cpuQuantum = 0.01
+)
 
 // Scan describes one cooperative scan to execute.
 type Scan struct {
 	// Name labels the scan in statistics.
 	Name string
+	// Table names the layout the scan reads (its Table().Name); it may be
+	// empty when the system has one table.
+	Table string
 	// Ranges is the set of chunks to read; required.
 	Ranges RangeSet
 	// Columns is the DSM column set; ignored for row layouts.
@@ -152,17 +157,20 @@ type Scan struct {
 	OnChunk func(chunk int, firstRow, rows int64)
 }
 
-// System is an assembled simulation: a disk, a CPU pool, an ABM over one
-// layout, and a set of query streams. Build with NewSystem, add streams,
-// then call Run exactly once.
+// System is an assembled simulation: a disk, a CPU pool, one ABM per table
+// layout under a core.Manager (each with its own chunk map, query registry
+// and policy state — the paper's §7.1 requirement that a production CScan
+// "keep track of multiple tables, keeping separate statistics and
+// meta-data for each"), and a set of query streams. Build with NewSystem,
+// add streams, then call Run exactly once.
 type System struct {
-	env    *sim.Env
-	dsk    *disk.Disk
-	cpu    *sim.Resource
-	abm    *core.ABM
-	layout Layout
-	cfg    Config
+	env *sim.Env
+	dsk *disk.Disk
+	cpu *sim.Resource
+	mgr *core.Manager
 
+	layouts  map[string]Layout
+	only     string // the table name of a one-table system, else ""
 	nStreams int
 	pending  int
 	results  []scanSlot
@@ -174,31 +182,47 @@ type scanSlot struct {
 	stats  ScanStats
 }
 
-// NewSystem creates a system over the layout.
-func NewSystem(layout Layout, cfg Config) *System {
-	if cfg.CPUCores == 0 {
-		cfg.CPUCores = 2
+// NewSystem creates a system over one or more layouts, keyed by table name.
+// A single layout's ABM gets all of Config.BufferBytes; several layouts
+// divide it proportionally to size, with a one-chunk floor each.
+func NewSystem(cfg Config, layouts ...Layout) *System {
+	if len(layouts) == 0 {
+		panic("coopscan: NewSystem with no layouts")
 	}
 	if cfg.Disk.Bandwidth == 0 {
 		cfg.Disk = disk.DefaultParams()
 	}
-	if cfg.CPUQuantum == 0 {
-		cfg.CPUQuantum = 0.01
-	}
 	env := sim.NewEnv()
 	d := disk.New(env, cfg.Disk)
-	abm := core.New(env, d, layout, core.Config{
-		Policy:          cfg.Policy,
-		BufferBytes:     cfg.BufferBytes,
-		StarveThreshold: cfg.StarveThreshold,
-		ElevatorWindow:  cfg.ElevatorWindow,
-		Prefetch:        cfg.Prefetch,
-	})
-	return &System{
-		env: env, dsk: d, cpu: env.NewResource("cpu", cfg.CPUCores),
-		abm: abm, layout: layout, cfg: cfg,
+	s := &System{
+		env: env, dsk: d, cpu: env.NewResource("cpu", cpuCores),
+		mgr:     core.NewManager(env, d, core.Config{Policy: cfg.Policy}),
+		layouts: make(map[string]Layout, len(layouts)),
 	}
+	shares := []int64{cfg.BufferBytes}
+	if len(layouts) > 1 {
+		// Floor each table's share at one full-width chunk so every ABM
+		// can make progress.
+		var maxChunk int64 = 1
+		for _, l := range layouts {
+			maxChunk = max(maxChunk, l.ChunkBytes(0, AllCols(min(l.Table().NumColumns(), 64))))
+		}
+		shares = core.SplitBuffer(cfg.BufferBytes, maxChunk, layouts...)
+	} else {
+		s.only = layouts[0].Table().Name
+	}
+	for i, l := range layouts {
+		s.layouts[l.Table().Name] = l
+		s.mgr.Attach(l, shares[i])
+	}
+	return s
 }
+
+// UseCScan reports whether scans of the named table go through the
+// cooperative machinery (§7.1: small tables fall back to plain Scan —
+// which in this implementation is simply a one-query normal-policy pass,
+// so the answer is advisory).
+func (s *System) UseCScan(table string) bool { return s.mgr.UseCScan(table) }
 
 // AddStream schedules scans to run sequentially, starting at virtual time
 // startAt seconds — the paper's notion of a query stream.
@@ -209,44 +233,59 @@ func (s *System) AddStream(startAt float64, scans ...Scan) {
 	if len(scans) == 0 {
 		panic("coopscan: empty stream")
 	}
-	streamIdx := s.nStreams
-	s.nStreams++
-	base := len(s.results)
-	for _, sc := range scans {
-		s.results = append(s.results, scanSlot{stream: streamIdx})
+	scans = append([]Scan(nil), scans...)
+	for i := range scans {
+		sc := &scans[i]
+		if sc.Table == "" {
+			sc.Table = s.only
+		}
+		if _, ok := s.layouts[sc.Table]; !ok {
+			panic(fmt.Sprintf("coopscan: scan %q names unknown table %q", sc.Name, sc.Table))
+		}
 		if sc.Ranges.Empty() {
 			panic(fmt.Sprintf("coopscan: scan %q has no ranges", sc.Name))
 		}
 	}
+	streamIdx := s.nStreams
+	s.nStreams++
+	base := len(s.results)
+	for range scans {
+		s.results = append(s.results, scanSlot{stream: streamIdx})
+	}
 	s.pending++
-	scans = append([]Scan(nil), scans...)
-	fullTuples := s.layout.ChunkTuples(0)
 	s.env.ProcessAt(fmt.Sprintf("stream-%d", streamIdx), startAt, func(p *sim.Proc) {
 		for i, sc := range scans {
-			q := s.abm.NewQuery(sc.Name, sc.Ranges, sc.Columns)
-			opts := core.ScanOptions{CPU: s.cpu, Quantum: s.cfg.CPUQuantum}
-			if sc.CPUPerChunk > 0 {
-				per := sc.CPUPerChunk
-				opts.Cost = func(_ int, tuples int64) float64 {
-					if fullTuples <= 0 {
-						return per
-					}
-					return per * float64(tuples) / float64(fullTuples)
-				}
-			}
-			if sc.OnChunk != nil {
-				hook := sc.OnChunk
-				opts.OnChunk = func(chunk int) {
-					hook(chunk, int64(chunk)*fullTuples, s.layout.ChunkTuples(chunk))
-				}
-			}
-			s.results[base+i].stats = core.RunCScan(p, s.abm, q, opts)
+			s.results[base+i].stats = s.runScan(p, sc)
 		}
 		s.pending--
 		if s.pending == 0 {
-			s.abm.Shutdown()
+			s.mgr.Shutdown()
 		}
 	})
+}
+
+// runScan executes one scan of a stream as a CScan over its table's ABM.
+func (s *System) runScan(p *sim.Proc, sc Scan) ScanStats {
+	layout := s.layouts[sc.Table]
+	abm, _ := s.mgr.For(sc.Table)
+	fullTuples := layout.ChunkTuples(0)
+	opts := core.ScanOptions{CPU: s.cpu, Quantum: cpuQuantum}
+	if sc.CPUPerChunk > 0 {
+		per := sc.CPUPerChunk
+		opts.Cost = func(_ int, tuples int64) float64 {
+			if fullTuples <= 0 {
+				return per
+			}
+			return per * float64(tuples) / float64(fullTuples)
+		}
+	}
+	if sc.OnChunk != nil {
+		hook := sc.OnChunk
+		opts.OnChunk = func(chunk int) {
+			hook(chunk, int64(chunk)*fullTuples, layout.ChunkTuples(chunk))
+		}
+	}
+	return core.RunCScan(p, abm, abm.NewQuery(sc.Name, sc.Ranges, sc.Columns), opts)
 }
 
 // Report is the outcome of a Run.
@@ -255,7 +294,8 @@ type Report struct {
 	Scans []ScanStats
 	// Streams maps each entry of Scans to its stream index.
 	Streams []int
-	// System aggregates ABM counters; Disk aggregates device activity.
+	// System sums the ABM counters over every table; Disk aggregates
+	// device activity.
 	System SystemStats
 	Disk   DiskStats
 	// Elapsed is the total virtual time, CPUUtilisation the mean busy
@@ -278,7 +318,7 @@ func (s *System) Run() (*Report, error) {
 		return nil, fmt.Errorf("coopscan: simulation stuck: %w", err)
 	}
 	rep := &Report{
-		System:         s.abm.Stats(),
+		System:         s.mgr.Stats(),
 		Disk:           s.dsk.Stats(),
 		Elapsed:        s.env.Now(),
 		CPUUtilisation: s.cpu.Utilisation(),

@@ -11,11 +11,11 @@ import (
 
 func lineitemSystem(policy coopscan.Policy) (*coopscan.System, coopscan.Layout) {
 	layout := coopscan.NewRowLayoutWidth(tpch.LineitemTable(0.5), 1<<20, 72)
-	sys := coopscan.NewSystem(layout, coopscan.Config{
+	sys := coopscan.NewSystem(coopscan.Config{
 		Policy:      policy,
 		BufferBytes: 16 << 20,
 		Disk:        coopscan.DiskParams{Bandwidth: 50 << 20, SeekTime: 5e-3},
-	})
+	}, layout)
 	return sys, layout
 }
 
@@ -98,10 +98,10 @@ func TestRealQ6OverCooperativeScan(t *testing.T) {
 		ref.Add(exec.Q6Chunk(gen, int64(c)*full, layout.ChunkTuples(c), pred))
 	}
 
-	sys := coopscan.NewSystem(layout, coopscan.Config{
+	sys := coopscan.NewSystem(coopscan.Config{
 		Policy: coopscan.Relevance, BufferBytes: 8 << 20,
 		Disk: coopscan.DiskParams{Bandwidth: 50 << 20, SeekTime: 5e-3},
-	})
+	}, layout)
 	var got exec.Q6Result
 	sys.AddStream(0, coopscan.Scan{
 		Name: "q6", Ranges: coopscan.FullTable(layout), CPUPerChunk: 0.005,
@@ -167,10 +167,10 @@ func TestSystemValidation(t *testing.T) {
 func TestColumnStoreThroughPublicAPI(t *testing.T) {
 	tab := tpch.LineitemTable(0.2)
 	layout := coopscan.NewColumnLayout(tab, 100_000, 1<<20)
-	sys := coopscan.NewSystem(layout, coopscan.Config{
+	sys := coopscan.NewSystem(coopscan.Config{
 		Policy: coopscan.Relevance, BufferBytes: 64 << 20,
 		Disk: coopscan.DiskParams{Bandwidth: 100 << 20, SeekTime: 5e-3},
-	})
+	}, layout)
 	q6cols := tab.MustCols("l_shipdate", "l_discount", "l_quantity", "l_extendedprice")
 	sys.AddStream(0, coopscan.Scan{
 		Name: "narrow", Ranges: coopscan.FullTable(layout), Columns: q6cols, CPUPerChunk: 0.01,
@@ -196,10 +196,10 @@ func TestZoneMapPrunedScan(t *testing.T) {
 	if ranges.Empty() || ranges.Len() >= layout.NumChunks()/2 {
 		t.Fatalf("pruned ranges = %v of %d chunks", ranges, layout.NumChunks())
 	}
-	sys := coopscan.NewSystem(layout, coopscan.Config{
+	sys := coopscan.NewSystem(coopscan.Config{
 		Policy: coopscan.Relevance, BufferBytes: 8 << 20,
 		Disk: coopscan.DiskParams{Bandwidth: 50 << 20, SeekTime: 5e-3},
-	})
+	}, layout)
 	sys.AddStream(0, coopscan.Scan{Name: "year2", Ranges: ranges, CPUPerChunk: 0.005})
 	rep, err := sys.Run()
 	if err != nil {

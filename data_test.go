@@ -53,10 +53,10 @@ func TestPaceSlowsWallClock(t *testing.T) {
 	run := func(pace float64) time.Duration {
 		tab := coopscan.Lineitem(0.01)
 		layout := coopscan.NewRowLayoutWidth(tab, 1<<20, 72)
-		sys := coopscan.NewSystem(layout, coopscan.Config{
+		sys := coopscan.NewSystem(coopscan.Config{
 			Policy: coopscan.Normal, BufferBytes: 4 << 20,
 			Disk: coopscan.DiskParams{Bandwidth: 50 << 20, SeekTime: 1e-3},
-		})
+		}, layout)
 		if pace > 0 {
 			sys.Pace(pace)
 		}

@@ -50,10 +50,10 @@ func main() {
 // runPair runs two concurrent full-table scans with the given column sets
 // and reports the bytes read.
 func runPair(layout coopscan.Layout, label string, colsA, colsB coopscan.ColSet) int64 {
-	sys := coopscan.NewSystem(layout, coopscan.Config{
+	sys := coopscan.NewSystem(coopscan.Config{
 		Policy:      coopscan.Relevance,
 		BufferBytes: 512 << 20,
-	})
+	}, layout)
 	sys.AddStream(0, coopscan.Scan{
 		Name: "scan-a", Ranges: coopscan.FullTable(layout), Columns: colsA, CPUPerChunk: 0.01,
 	})

@@ -30,35 +30,31 @@ func main() {
 		coopscan.NewRowLayoutWidth(history, 16<<20, 72),
 		coopscan.NewRowLayoutWidth(dims, 16<<20, 72),
 	}
-	ms := coopscan.NewMultiSystem(layouts, coopscan.Config{
+	sys := coopscan.NewSystem(coopscan.Config{
 		Policy:      coopscan.Relevance,
 		BufferBytes: 24 * 16 << 20,
-	})
+	}, layouts...)
 
 	for _, l := range layouts {
 		fmt.Printf("%-8s %3d chunks, cooperative scan: %v\n",
-			l.Table().Name, l.NumChunks(), ms.UseCScan(l.Table().Name))
+			l.Table().Name, l.NumChunks(), sys.UseCScan(l.Table().Name))
 	}
 
 	// Three staggered streams: two hammer facts (and so share bandwidth),
 	// one sweeps history while consulting dims.
 	full := func(i int) coopscan.RangeSet { return coopscan.FullTable(layouts[i]) }
-	ms.AddStream(0,
-		coopscan.TableScan{Table: "facts", Scan: coopscan.Scan{
-			Name: "facts-report", Ranges: full(0), CPUPerChunk: 0.03}},
+	sys.AddStream(0,
+		coopscan.Scan{Table: "facts", Name: "facts-report", Ranges: full(0), CPUPerChunk: 0.03},
 	)
-	ms.AddStream(2,
-		coopscan.TableScan{Table: "facts", Scan: coopscan.Scan{
-			Name: "facts-audit", Ranges: full(0), CPUPerChunk: 0.05}},
-		coopscan.TableScan{Table: "dims", Scan: coopscan.Scan{
-			Name: "dims-lookup", Ranges: full(2), CPUPerChunk: 0.01}},
+	sys.AddStream(2,
+		coopscan.Scan{Table: "facts", Name: "facts-audit", Ranges: full(0), CPUPerChunk: 0.05},
+		coopscan.Scan{Table: "dims", Name: "dims-lookup", Ranges: full(2), CPUPerChunk: 0.01},
 	)
-	ms.AddStream(3,
-		coopscan.TableScan{Table: "history", Scan: coopscan.Scan{
-			Name: "history-sweep", Ranges: full(1), CPUPerChunk: 0.02}},
+	sys.AddStream(3,
+		coopscan.Scan{Table: "history", Name: "history-sweep", Ranges: full(1), CPUPerChunk: 0.02},
 	)
 
-	rep, err := ms.Run()
+	rep, err := sys.Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,10 +33,10 @@ func main() {
 		table.Rows, layout.NumChunks(), nOrders)
 
 	// ---- cooperative run: out-of-order delivery ---------------------------
-	sys := coopscan.NewSystem(layout, coopscan.Config{
+	sys := coopscan.NewSystem(coopscan.Config{
 		Policy:      coopscan.Relevance,
 		BufferBytes: 6 * 8 << 20,
-	})
+	}, layout)
 	groups := 0
 	oa := coopscan.NewOrderedAgg(layout.NumChunks(), func(coopscan.Group) { groups++ })
 	cmj := coopscan.NewCMJ(dim)

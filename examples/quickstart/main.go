@@ -23,10 +23,10 @@ func main() {
 	fmt.Printf("table %s: %d rows, %d chunks of 16 MB\n",
 		table.Name, table.Rows, layout.NumChunks())
 
-	sys := coopscan.NewSystem(layout, coopscan.Config{
+	sys := coopscan.NewSystem(coopscan.Config{
 		Policy:      coopscan.Relevance,
 		BufferBytes: 8 * 16 << 20, // an 8-chunk buffer pool
-	})
+	}, layout)
 
 	// Stream 1: a full-table scan, CPU-light (I/O bound).
 	sys.AddStream(0, coopscan.Scan{

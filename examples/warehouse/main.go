@@ -89,10 +89,10 @@ func buildStreams(layout coopscan.Layout, zm *coopscan.ZoneMap) [][]queryPlan {
 func runPolicy(policy coopscan.Policy, layout coopscan.Layout,
 	gen *coopscan.Generator, plans [][]queryPlan) (map[string]int64, *coopscan.Report) {
 
-	sys := coopscan.NewSystem(layout, coopscan.Config{
+	sys := coopscan.NewSystem(coopscan.Config{
 		Policy:      policy,
 		BufferBytes: 16 * chunkBytes,
-	})
+	}, layout)
 	answers := make(map[string]int64)
 	var finalize []func()
 	pred := coopscan.DefaultQ6()

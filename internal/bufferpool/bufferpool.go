@@ -1,5 +1,5 @@
 // Package bufferpool implements a classic page-granularity buffer manager
-// with pluggable replacement (LRU, MRU, Clock) and pin counts — the
+// with LRU replacement and pin counts — the
 // "standard buffer manager" of the paper's §7.1, on top of which the Active
 // Buffer Manager can be layered in an existing RDBMS: ABM requests a range
 // of pages, the pool reads and pins them (at arbitrary frame positions),
@@ -21,30 +21,6 @@ import (
 
 // PageID identifies a page on the underlying store.
 type PageID int64
-
-// Replacement selects a victim frame among the unpinned resident pages.
-type Replacement int
-
-// Supported replacement policies. The paper's §3 observes that classic work
-// suggested LRU or MRU for scans, both of which share poorly; Clock is the
-// common LRU approximation.
-const (
-	LRU Replacement = iota
-	MRU
-	Clock
-)
-
-func (r Replacement) String() string {
-	switch r {
-	case LRU:
-		return "lru"
-	case MRU:
-		return "mru"
-	case Clock:
-		return "clock"
-	}
-	return fmt.Sprintf("replacement(%d)", int(r))
-}
 
 // ErrNoFrame is returned when every frame is pinned.
 var ErrNoFrame = errors.New("bufferpool: all frames pinned")
@@ -69,19 +45,16 @@ type frame struct {
 	pins     int
 	lastUsed int64 // logical tick of last access
 	loadedAt int64
-	refBit   bool // Clock's second-chance bit
 }
 
 // Pool is a fixed-capacity page buffer.
 type Pool struct {
 	capacity int
-	policy   Replacement
 	read     Reader
 
 	frames map[PageID]*frame
 	order  []*frame // stable order for deterministic victim scans
 	tick   int64
-	hand   int // Clock hand
 	stats  Stats
 
 	// onEvict, when set, observes every frame eviction with the page's id
@@ -122,7 +95,7 @@ func (p *Pool) SetMetrics(m Metrics) {
 func (p *Pool) SetEvictObserver(fn func(id PageID, data []byte)) { p.onEvict = fn }
 
 // New creates a pool holding up to capacity pages, loading misses with read.
-func New(capacity int, policy Replacement, read Reader) *Pool {
+func New(capacity int, read Reader) *Pool {
 	if capacity < 1 {
 		panic("bufferpool: capacity < 1")
 	}
@@ -131,7 +104,6 @@ func New(capacity int, policy Replacement, read Reader) *Pool {
 	}
 	return &Pool{
 		capacity: capacity,
-		policy:   policy,
 		read:     read,
 		frames:   make(map[PageID]*frame, capacity),
 	}
@@ -151,7 +123,6 @@ func (p *Pool) Pin(id PageID) ([]byte, error) {
 			p.m.Pinned.Add(1)
 		}
 		f.lastUsed = p.tick
-		f.refBit = true
 		return f.data, nil
 	}
 	p.stats.Misses++
@@ -167,7 +138,7 @@ func (p *Pool) Pin(id PageID) ([]byte, error) {
 	}
 	p.stats.BytesLoaded += int64(len(data))
 	p.m.BytesLoaded.Add(int64(len(data)))
-	f := &frame{id: id, data: data, pins: 1, lastUsed: p.tick, loadedAt: p.tick, refBit: true}
+	f := &frame{id: id, data: data, pins: 1, lastUsed: p.tick, loadedAt: p.tick}
 	p.frames[id] = f
 	p.order = append(p.order, f)
 	p.pinned++
@@ -207,30 +178,14 @@ func (p *Pool) Pinned() int { return p.pinned }
 // Stats returns a copy of the counters.
 func (p *Pool) Stats() Stats { return p.stats }
 
-// evictOne removes one unpinned page according to the policy.
+// evictOne removes the least recently used unpinned page.
 func (p *Pool) evictOne() error {
-	switch p.policy {
-	case Clock:
-		return p.evictClock()
-	default:
-		return p.evictByRecency()
-	}
-}
-
-func (p *Pool) evictByRecency() error {
 	var victim *frame
 	for _, f := range p.order {
 		if f.pins > 0 {
 			continue
 		}
-		if victim == nil {
-			victim = f
-			continue
-		}
-		if p.policy == LRU && f.lastUsed < victim.lastUsed {
-			victim = f
-		}
-		if p.policy == MRU && f.lastUsed > victim.lastUsed {
+		if victim == nil || f.lastUsed < victim.lastUsed {
 			victim = f
 		}
 	}
@@ -241,40 +196,11 @@ func (p *Pool) evictByRecency() error {
 	return nil
 }
 
-func (p *Pool) evictClock() error {
-	if len(p.order) == 0 {
-		return ErrNoFrame
-	}
-	// Two full sweeps: the first clears reference bits, the second must
-	// find a victim unless everything is pinned.
-	for sweep := 0; sweep < 2*len(p.order); sweep++ {
-		if p.hand >= len(p.order) {
-			p.hand = 0
-		}
-		f := p.order[p.hand]
-		if f.pins > 0 {
-			p.hand++
-			continue
-		}
-		if f.refBit {
-			f.refBit = false
-			p.hand++
-			continue
-		}
-		p.remove(f)
-		return nil
-	}
-	return ErrNoFrame
-}
-
 func (p *Pool) remove(f *frame) {
 	delete(p.frames, f.id)
 	for i, of := range p.order {
 		if of == f {
 			p.order = append(p.order[:i], p.order[i+1:]...)
-			if p.hand > i {
-				p.hand--
-			}
 			break
 		}
 	}

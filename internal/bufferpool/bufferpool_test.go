@@ -17,7 +17,7 @@ func testReader(reads *int) Reader {
 
 func TestPinMissLoadsAndHits(t *testing.T) {
 	reads := 0
-	p := New(4, LRU, testReader(&reads))
+	p := New(4, testReader(&reads))
 	data, err := p.Pin(7)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestPinMissLoadsAndHits(t *testing.T) {
 
 func TestLRUEvictsLeastRecent(t *testing.T) {
 	reads := 0
-	p := New(2, LRU, testReader(&reads))
+	p := New(2, testReader(&reads))
 	mustPin(t, p, 1)
 	p.Unpin(1)
 	mustPin(t, p, 2)
@@ -56,51 +56,9 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	}
 }
 
-func TestMRUEvictsMostRecent(t *testing.T) {
-	reads := 0
-	p := New(2, MRU, testReader(&reads))
-	mustPin(t, p, 1)
-	p.Unpin(1)
-	mustPin(t, p, 2)
-	p.Unpin(2)
-	mustPin(t, p, 3) // MRU evicts 2 (most recently used)
-	p.Unpin(3)
-	if !p.Contains(1) || p.Contains(2) {
-		t.Errorf("MRU should keep the older page: 1=%v 2=%v", p.Contains(1), p.Contains(2))
-	}
-}
-
-func TestClockGivesSecondChance(t *testing.T) {
-	reads := 0
-	p := New(3, Clock, testReader(&reads))
-	for id := PageID(1); id <= 3; id++ {
-		mustPin(t, p, id)
-		p.Unpin(id)
-	}
-	// First eviction sweeps all reference bits clear, then evicts page 1.
-	mustPin(t, p, 4)
-	p.Unpin(4)
-	if p.Contains(1) || !p.Contains(2) || !p.Contains(3) {
-		t.Fatalf("first clock eviction wrong: 1=%v 2=%v 3=%v",
-			p.Contains(1), p.Contains(2), p.Contains(3))
-	}
-	// Touch page 2: its reference bit now saves it from the next sweep,
-	// which must take page 3 (bit clear) instead — the second chance.
-	mustPin(t, p, 2)
-	p.Unpin(2)
-	mustPin(t, p, 5)
-	p.Unpin(5)
-	if !p.Contains(2) || p.Contains(3) {
-		t.Errorf("second chance wrong: 2=%v 3=%v", p.Contains(2), p.Contains(3))
-	}
-	if p.Resident() != 3 {
-		t.Errorf("resident = %d", p.Resident())
-	}
-}
-
 func TestPinnedPagesNeverEvicted(t *testing.T) {
 	reads := 0
-	p := New(2, LRU, testReader(&reads))
+	p := New(2, testReader(&reads))
 	mustPin(t, p, 1) // stays pinned
 	mustPin(t, p, 2)
 	p.Unpin(2)
@@ -115,7 +73,7 @@ func TestPinnedPagesNeverEvicted(t *testing.T) {
 
 func TestReadErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
-	p := New(2, LRU, func(PageID) ([]byte, error) { return nil, boom })
+	p := New(2, func(PageID) ([]byte, error) { return nil, boom })
 	if _, err := p.Pin(1); !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
@@ -125,7 +83,7 @@ func TestReadErrorPropagates(t *testing.T) {
 }
 
 func TestUnpinWithoutPinPanics(t *testing.T) {
-	p := New(2, LRU, testReader(new(int)))
+	p := New(2, testReader(new(int)))
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -136,7 +94,7 @@ func TestUnpinWithoutPinPanics(t *testing.T) {
 
 func TestPinRangeAndRelease(t *testing.T) {
 	reads := 0
-	p := New(8, LRU, testReader(&reads))
+	p := New(8, testReader(&reads))
 	v, err := p.PinRange(10, 14)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +128,7 @@ func TestPinRangeAndRelease(t *testing.T) {
 
 func TestPinRangeFailureUnwinds(t *testing.T) {
 	reads := 0
-	p := New(2, LRU, testReader(&reads))
+	p := New(2, testReader(&reads))
 	mustPin(t, p, 50) // one frame pinned forever
 	if _, err := p.PinRange(0, 2); !errors.Is(err, ErrNoFrame) {
 		t.Fatalf("err = %v", err)
@@ -186,31 +144,28 @@ func TestPinRangeFailureUnwinds(t *testing.T) {
 }
 
 func TestCapacityNeverExceeded(t *testing.T) {
-	for _, pol := range []Replacement{LRU, MRU, Clock} {
-		reads := 0
-		p := New(3, pol, testReader(&reads))
-		for i := 0; i < 50; i++ {
-			id := PageID(i % 7)
-			if _, err := p.Pin(id); err != nil {
-				t.Fatalf("%v: %v", pol, err)
-			}
-			p.Unpin(id)
-			if p.Resident() > 3 {
-				t.Fatalf("%v: resident %d > capacity", pol, p.Resident())
-			}
+	reads := 0
+	p := New(3, testReader(&reads))
+	for i := 0; i < 50; i++ {
+		id := PageID(i % 7)
+		if _, err := p.Pin(id); err != nil {
+			t.Fatal(err)
 		}
-		st := p.Stats()
-		if st.Hits+st.Misses != 50 {
-			t.Errorf("%v: accounting %+v", pol, st)
+		p.Unpin(id)
+		if p.Resident() > 3 {
+			t.Fatalf("resident %d > capacity", p.Resident())
 		}
+	}
+	st := p.Stats()
+	if st.Hits+st.Misses != 50 {
+		t.Errorf("accounting %+v", st)
 	}
 }
 
 func TestQuickPoolInvariants(t *testing.T) {
-	f := func(ops []uint8, polSeed uint8) bool {
-		pol := Replacement(polSeed % 3)
+	f := func(ops []uint8) bool {
 		reads := 0
-		p := New(4, pol, testReader(&reads))
+		p := New(4, testReader(&reads))
 		pins := map[PageID]int{}
 		for _, op := range ops {
 			id := PageID(op % 11)
@@ -250,17 +205,6 @@ func distinctPinned(pins map[PageID]int) int {
 		}
 	}
 	return n
-}
-
-func TestReplacementString(t *testing.T) {
-	for r, want := range map[Replacement]string{LRU: "lru", MRU: "mru", Clock: "clock"} {
-		if r.String() != want {
-			t.Errorf("%d = %q", int(r), r.String())
-		}
-	}
-	if Replacement(9).String() == "" {
-		t.Error("unknown policy should stringify")
-	}
 }
 
 func mustPin(t *testing.T, p *Pool, id PageID) {

@@ -9,7 +9,7 @@ import "testing"
 
 func TestChunkViewPinOverlap(t *testing.T) {
 	reads := 0
-	p := New(8, LRU, testReader(&reads))
+	p := New(8, testReader(&reads))
 	a, err := p.PinRange(0, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestChunkViewPinOverlap(t *testing.T) {
 
 func TestChunkViewReleaseTwice(t *testing.T) {
 	reads := 0
-	p := New(4, LRU, testReader(&reads))
+	p := New(4, testReader(&reads))
 	v, err := p.PinRange(0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestChunkViewReleaseTwice(t *testing.T) {
 
 func TestChunkViewEvictionOfPartiallyPinnedRange(t *testing.T) {
 	reads := 0
-	p := New(6, LRU, testReader(&reads))
+	p := New(6, testReader(&reads))
 	v, err := p.PinRange(0, 4)
 	if err != nil {
 		t.Fatal(err)

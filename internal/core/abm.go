@@ -128,12 +128,6 @@ type Config struct {
 	// decisions (for the paper's Figure 8).
 	MeasureScheduling bool
 
-	// ChunkCost overrides the assumed cost (in clock seconds) of loading
-	// one chunk, used to normalise waiting time in queryRelevance. Zero
-	// derives it from the simulated disk (sim mode) or a 1 GB/s estimate
-	// (live mode).
-	ChunkCost float64
-
 	// NoShortQueryPriority disables the -chunksNeeded(q) term of
 	// queryRelevance (ablation: queries are then served round-robin-ish by
 	// waiting time alone).
@@ -141,11 +135,6 @@ type Config struct {
 	// NoWaitPromotion disables the waiting-time term of queryRelevance
 	// (ablation: long queries can starve behind a stream of short ones).
 	NoWaitPromotion bool
-
-	// DisableLoader suppresses the central loader process of the elevator
-	// and relevance policies; loads must then be driven externally. Used
-	// by white-box tests that probe the relevance functions directly.
-	DisableLoader bool
 }
 
 // Defaults fills in zero fields.
@@ -177,11 +166,12 @@ type SystemStats struct {
 // needs and schedules chunk loads and evictions according to the policy.
 //
 // An ABM exists in one of two modes. Simulation mode (New) couples it to a
-// discrete-event environment and a simulated disk; the policy strategies
-// then also drive the blocking scan/loader loops. Live mode (NewLive) has
-// no environment: the ABM is pure bookkeeping plus the SchedulerPolicy
-// decision core, and the live engine (internal/engine) supplies the
-// goroutines, the real file I/O and the wall clock.
+// discrete-event environment and a simulated disk; the ABM then also runs
+// the blocking scan delivery loop (Next) and, for the central policies, the
+// loader process. Live mode (NewLive) has no environment: the ABM is pure
+// bookkeeping plus the SchedulerPolicy decision core, and the live engine
+// (internal/engine) supplies the goroutines, the real file I/O and the
+// wall clock.
 type ABM struct {
 	env    *sim.Env // nil in live mode
 	disk   *disk.Disk
@@ -293,7 +283,7 @@ type ABM struct {
 	onEvict func(chunk, col int)
 
 	closed bool
-	strat  strategy
+	strat  SchedulerPolicy
 	// relev is strat downcast to the relevance strategy (nil otherwise),
 	// for the victim-heap hooks on the eviction/load paths.
 	relev *relevStrategy
@@ -318,48 +308,38 @@ type ABM struct {
 	chunkCost float64
 }
 
-// strategy is the per-policy behaviour behind ABM.Next: the shared
-// SchedulerPolicy decision core plus the sim-only blocking delivery loop.
-type strategy interface {
-	SchedulerPolicy
-	// next blocks until a chunk is deliverable to q and returns it with its
-	// parts pinned; ok=false means the scan has consumed its whole range.
-	next(p *sim.Proc, q *Query) (chunk int, ok bool)
+// New creates an ABM over the layout, backed by the simulated disk. The
+// central policies (elevator, relevance) get the ABM loader process; the
+// sequential ones issue their own demand reads from Next.
+func New(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
+	a := newSim(env, d, layout, cfg)
+	if _, seq := a.strat.(*seqStrategy); !seq {
+		env.Process("abm-"+a.cfg.Policy.String(), a.loader)
+	}
+	return a
 }
 
-// New creates an ABM over the layout, backed by the simulated disk.
-func New(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
+// newSim is New without the loader process: loads must then be driven
+// externally. White-box tests use it to probe the policies directly.
+func newSim(env *sim.Env, d *disk.Disk, layout storage.Layout, cfg Config) *ABM {
 	a := newABM(env, layout, cfg)
 	a.env = env
 	a.disk = d
 	a.activity = env.NewSignal("abm-activity")
-	if a.chunkCost == 0 {
-		avg := layout.ChunkBytes(0, storage.AllCols(min(layout.Table().NumColumns(), storage.MaxColumns)))
-		a.chunkCost = d.TransferTime(maxI64(avg, 1))
-	}
-	if !a.cfg.DisableLoader {
-		switch s := a.strat.(type) {
-		case *elevStrategy:
-			env.Process("abm-elevator", s.loader)
-		case *relevStrategy:
-			env.Process("abm-relevance", s.loader)
-		}
-	}
+	avg := layout.ChunkBytes(0, storage.AllCols(min(layout.Table().NumColumns(), storage.MaxColumns)))
+	a.chunkCost = d.TransferTime(maxI64(avg, 1))
 	return a
 }
 
 // NewLive creates a simulation-free ABM: bookkeeping plus the policy
 // decision core, driven externally (by internal/engine) under the given
-// clock. Central loader processes are never started; the engine's
-// scheduler goroutine polls Policy().NextLoad instead.
+// clock. No loader process runs; the engine's scheduler goroutine calls
+// IssueLoad instead.
 func NewLive(clock Clock, layout storage.Layout, cfg Config) *ABM {
-	cfg.DisableLoader = true
 	a := newABM(clock, layout, cfg)
-	if a.chunkCost == 0 {
-		// Waiting-time normalisation only; any plausible per-chunk load
-		// cost works. Default to ~16 MB at 1 GB/s.
-		a.chunkCost = 0.016
-	}
+	// Waiting-time normalisation only; any plausible per-chunk load cost
+	// works. Default to ~16 MB at 1 GB/s (SetChunkCost refines it).
+	a.chunkCost = 0.016
 	return a
 }
 
@@ -376,7 +356,6 @@ func newABM(clock Clock, layout storage.Layout, cfg Config) *ABM {
 		assembling:      make(map[partKey]int),
 		fresh:           make(map[int]bool),
 		chunkQueries:    make([][]*Query, layout.NumChunks()),
-		chunkCost:       cfg.ChunkCost,
 		timeBase:        time.Now(),
 	}
 	if layout.Columnar() {
@@ -549,14 +528,6 @@ func (a *ABM) dropChunkQuery(q *Query, c int) {
 	moved.chunkPos[c] = i
 	a.chunkQueries[c] = list[:last]
 	q.chunkPos[c] = -1
-}
-
-// Next delivers the next chunk for q (pinned) or ok=false at end of scan.
-func (a *ABM) Next(p *sim.Proc, q *Query) (int, bool) {
-	if q.finished() {
-		return 0, false
-	}
-	return a.strat.next(p, q)
 }
 
 // Release returns chunk c after processing: parts are unpinned, the chunk

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"coopscan/internal/sim"
 )
 
@@ -46,6 +48,68 @@ func RunCScan(p *sim.Proc, a *ABM, q *Query, opts ScanOptions) Stats {
 		a.Release(q, c)
 	}
 	return a.Finish(q)
+}
+
+// Next delivers the next chunk for q (pinned) or ok=false at end of scan.
+// The sequential policies assemble their chunks on demand (normal and
+// attach scans issue their own reads, the paper's baseline); under the
+// central policies the query consumes whatever the loader made available,
+// blocking until something is (the paper's waitForChunk).
+func (a *ABM) Next(p *sim.Proc, q *Query) (int, bool) {
+	if s, ok := a.strat.(*seqStrategy); ok {
+		return s.next(p, q)
+	}
+	for {
+		if q.finished() {
+			return 0, false
+		}
+		if c := a.strat.PickAvailable(q); c >= 0 {
+			a.Pin(q, c)
+			return c, true
+		}
+		// The loader is woken by the broadcasts that accompany every
+		// registration, release and load completion.
+		q.SetBlocked(true)
+		a.activity.Wait(p)
+		q.SetBlocked(false)
+	}
+}
+
+// loader is the central ABM loader process of the elevator and relevance
+// policies: decide (NextLoad, metered for Figure 8), make room
+// (EnsureSpace), commit and load, then yield for one tick so the queries
+// just signalled can pin the chunk before the next decision considers
+// evicting it. It blocks on the activity signal whenever nothing is
+// loadable or no space can be freed.
+//
+// Unlike the live engine's IssueLoad, the space check neither shields the
+// chunk's resident sibling parts nor skips EnsureSpace for a decision that
+// needs no cold bytes while the pool is over budget. The paper tables and
+// the decision golden were measured with this check; IssueLoad's changes
+// relevance decisions.
+func (a *ABM) loader(p *sim.Proc) {
+	for !a.closed {
+		var start time.Duration
+		if a.cfg.MeasureScheduling {
+			start = a.schedStart()
+		}
+		d, ok := a.strat.NextLoad()
+		if a.cfg.MeasureScheduling {
+			a.schedEnd(start)
+		}
+		if !ok {
+			a.activity.Wait(p)
+			continue
+		}
+		need := a.coldBytesFor(d.Chunk, d.Cols)
+		if a.cache.free() < need && !a.strat.EnsureSpace(need, d.Query) {
+			a.activity.Wait(p)
+			continue
+		}
+		a.strat.CommitLoad(d)
+		a.loadParts(p, d.Chunk, d.Cols, d.Query)
+		p.Wait(0)
+	}
 }
 
 // chargeCPU consumes d seconds of one core, optionally in preemption-sized

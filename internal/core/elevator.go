@@ -1,9 +1,6 @@
 package core
 
-import (
-	"coopscan/internal/sim"
-	"coopscan/internal/storage"
-)
+import "coopscan/internal/storage"
 
 // elevStrategy implements the elevator policy of §3: a single, strictly
 // sequential reading cursor for the entire system. The loader process sweeps
@@ -69,25 +66,6 @@ func (s *elevStrategy) outstandingChunk(c int) bool {
 		}
 	}
 	return false
-}
-
-// next delivers loader-loaded chunks in load (cursor) order; if none of the
-// outstanding chunks is q's, any other resident needed chunk (a leftover
-// from earlier in the sweep) is used as a buffer hit.
-func (s *elevStrategy) next(p *sim.Proc, q *Query) (int, bool) {
-	a := s.a
-	for {
-		if q.finished() {
-			return 0, false
-		}
-		if c := s.PickAvailable(q); c >= 0 {
-			a.Pin(q, c)
-			return c, true
-		}
-		q.SetBlocked(true)
-		a.activity.Wait(p)
-		q.SetBlocked(false)
-	}
 }
 
 // PickAvailable prefers the query's outstanding loader-loaded chunks (in
@@ -186,25 +164,4 @@ func (s *elevStrategy) CommitLoad(d LoadDecision) {
 func (s *elevStrategy) EnsureSpace(need int64, _ *Query) bool {
 	keep := func(pt *part) bool { return s.outstandingChunk(pt.key.chunk) }
 	return s.a.makeSpace(need, keep)
-}
-
-func (s *elevStrategy) loader(p *sim.Proc) {
-	a := s.a
-	for !a.closed {
-		d, ok := s.NextLoad()
-		if !ok {
-			a.activity.Wait(p)
-			continue
-		}
-		need := a.coldBytesFor(d.Chunk, d.Cols)
-		if a.cache.free() < need && !s.EnsureSpace(need, d.Query) {
-			a.activity.Wait(p)
-			continue
-		}
-		s.CommitLoad(d)
-		a.loadParts(p, d.Chunk, d.Cols, d.Query)
-		// Let the signalled queries pin the chunk before the next load's
-		// eviction pass runs.
-		p.Wait(0)
-	}
 }

@@ -107,24 +107,50 @@ func (a *ABM) SetChunkCost(c float64) {
 // engine releases the part's pinned buffer-pool pages there.
 func (a *ABM) SetEvictHook(h func(chunk, col int)) { a.onEvict = h }
 
-// MarkAssembling protects the parts of (chunk, cols) from eviction while a
-// load of that chunk is being prepared — the paper's §6.2 rule that "the
-// already-loaded part of the chunk is marked as used, which prohibits its
-// eviction". The live engine wraps the EnsureSpace call between a load
-// decision and its BeginLoad in a Mark/Unmark pair: a DSM chunk can be
-// partially resident, and an eviction pass that victimised the resident
-// sibling columns would silently widen the load beyond the space just
-// ensured (the cold-byte count was taken before the pass). The simulator's
-// demand-scan path (ensureChunkDemand) uses the same marks.
-func (a *ABM) MarkAssembling(c int, cols storage.ColSet) {
+// IssueLoad runs one live load decision up to its issue: NextLoad, the
+// caller's skip veto, space for the decision's cold bytes, CommitLoad and
+// BeginLoad. It returns the decision with the column set BeginLoad marked,
+// or ok=false when nothing is loadable, skip vetoed the decision (it is
+// then not committed), or no space could be freed; the caller retries
+// after the next release or completion. The caller performs the reads and
+// then calls FinishLoad (or AbortLoad) with the decision's Cols narrowed to
+// the marked set.
+//
+// The eviction pass shields the decision chunk's own parts — the paper's
+// §6.2 rule that "the already-loaded part of the chunk is marked as used,
+// which prohibits its eviction". A DSM chunk can be partially resident,
+// and a pass that victimised the resident sibling columns would silently
+// widen the load beyond the space just ensured, because the cold-byte
+// count was taken before the pass.
+func (a *ABM) IssueLoad(skip func(LoadDecision) bool) (d LoadDecision, marked storage.ColSet, ok bool) {
+	d, ok = a.strat.NextLoad()
+	if !ok || (skip != nil && skip(d)) {
+		return LoadDecision{}, 0, false
+	}
+	if need := a.coldBytesFor(d.Chunk, d.Cols); need > 0 && a.cache.free() < need {
+		a.markAssembling(d.Chunk, d.Cols)
+		ok = a.strat.EnsureSpace(need, d.Query)
+		a.unmarkAssembling(d.Chunk, d.Cols)
+		if !ok {
+			return LoadDecision{}, 0, false
+		}
+	}
+	a.strat.CommitLoad(d)
+	return d, a.BeginLoad(d), true
+}
+
+// markAssembling protects the parts of (chunk, cols) from eviction until
+// unmarkAssembling: IssueLoad's shield and the simulator's demand-scan
+// assembly (ensureChunkDemand) both use it.
+func (a *ABM) markAssembling(c int, cols storage.ColSet) {
 	var kb [storage.MaxColumns]partKey
 	for _, k := range a.cache.partsInto(kb[:0], a.colsOrNSM(cols), c) {
 		a.assembling[k]++
 	}
 }
 
-// UnmarkAssembling releases MarkAssembling's eviction protection.
-func (a *ABM) UnmarkAssembling(c int, cols storage.ColSet) {
+// unmarkAssembling releases markAssembling's eviction protection.
+func (a *ABM) unmarkAssembling(c int, cols storage.ColSet) {
 	var kb [storage.MaxColumns]partKey
 	for _, k := range a.cache.partsInto(kb[:0], a.colsOrNSM(cols), c) {
 		if a.assembling[k]--; a.assembling[k] == 0 {
@@ -139,8 +165,9 @@ func (a *ABM) UnmarkAssembling(c int, cols storage.ColSet) {
 // which pages are physically cached). Chunk-level I/O accounting
 // (requests, bytes, per-query attribution) happens here, mirroring the
 // simulation's loadParts. The caller must have ensured space
-// (FreeBytes() >= ColdBytes) and must call FinishLoad after the reads
-// complete, with the decision's Cols narrowed to the returned set.
+// (FreeBytes() >= ColdBytes, as IssueLoad does) and must call FinishLoad
+// after the reads complete, with the decision's Cols narrowed to the
+// returned set.
 //
 // The return value is the column set of the parts this call transitioned
 // to loading (zero for NSM, whose single pseudo-column part is implied).

@@ -47,10 +47,6 @@ type Manager struct {
 	clock Clock
 	cfg   Config
 
-	// SmallTableChunks is the threshold below which UseCScan recommends a
-	// plain Scan; such tables are expected to stay fully buffered.
-	SmallTableChunks int
-
 	tables map[string]*ABM
 	order  []string
 
@@ -66,8 +62,7 @@ func (m *Manager) SetMetrics(mm ManagerMetrics) { m.metrics = mm }
 func NewManager(env *sim.Env, d *disk.Disk, cfg Config) *Manager {
 	return &Manager{
 		env: env, dsk: d, clock: env, cfg: cfg,
-		SmallTableChunks: 4,
-		tables:           make(map[string]*ABM),
+		tables: make(map[string]*ABM),
 	}
 }
 
@@ -79,8 +74,7 @@ func NewManager(env *sim.Env, d *disk.Disk, cfg Config) *Manager {
 func NewLiveManager(clock Clock, cfg Config) *Manager {
 	return &Manager{
 		clock: clock, cfg: cfg,
-		SmallTableChunks: 4,
-		tables:           make(map[string]*ABM),
+		tables: make(map[string]*ABM),
 	}
 }
 
@@ -141,6 +135,10 @@ func (m *Manager) For(table string) (*ABM, bool) {
 // Tables returns the attached table names in attach order.
 func (m *Manager) Tables() []string { return append([]string(nil), m.order...) }
 
+// smallTableChunks is the chunk count at or below which UseCScan
+// recommends a plain Scan; such tables are expected to stay fully buffered.
+const smallTableChunks = 4
+
 // UseCScan reports whether a scan of the named table should go through the
 // cooperative machinery; small tables fall back to plain scans.
 func (m *Manager) UseCScan(table string) bool {
@@ -148,7 +146,7 @@ func (m *Manager) UseCScan(table string) bool {
 	if !ok {
 		return false
 	}
-	return a.layout.NumChunks() > m.SmallTableChunks
+	return a.layout.NumChunks() > smallTableChunks
 }
 
 // Shutdown stops every table's loader processes.

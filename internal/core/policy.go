@@ -10,12 +10,14 @@ import "coopscan/internal/storage"
 // real goroutines, and must make the *same* decisions — so the decision
 // logic is factored behind SchedulerPolicy, which both worlds call:
 //
-//   - the sim driver's strategy loops (seq/elevator/relevance next+loader)
-//     call NextLoad/CommitLoad/PickAvailable/EnsureSpace between virtual-
-//     time waits, exactly where they used to inline the logic;
-//   - the live engine's scheduler goroutine calls NextLoad/CommitLoad/
-//     EnsureSpace around real file reads, and its per-query goroutines call
-//     PickAvailable between condition-variable waits.
+//   - the sim driver (driver.go: one ABM loader process and one delivery
+//     loop, plus the sequential policies' demand reads) calls
+//     NextLoad/CommitLoad/PickAvailable/EnsureSpace between virtual-time
+//     waits;
+//   - the live engine's scheduler goroutine issues loads through
+//     ABM.IssueLoad (NextLoad/EnsureSpace/CommitLoad) around real file
+//     reads, and its per-query goroutines call PickAvailable between
+//     condition-variable waits.
 //
 // Every method is synchronous and non-blocking: it reads and updates ABM
 // bookkeeping (registered queries, residency bit sets, interest counters,

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"time"
 
-	"coopscan/internal/sim"
 	"coopscan/internal/storage"
 )
 
@@ -59,28 +58,9 @@ func (s *relevStrategy) CommitLoad(LoadDecision) {}
 
 // ---- CScan side -----------------------------------------------------------
 
-// next implements selectChunk/chooseAvailableChunk of Figure 3.
-func (s *relevStrategy) next(p *sim.Proc, q *Query) (int, bool) {
-	a := s.a
-	for {
-		if q.finished() {
-			return 0, false
-		}
-		c := s.PickAvailable(q)
-		if c >= 0 {
-			a.Pin(q, c)
-			return c, true
-		}
-		// waitForChunk: the ABM loader is woken by the broadcasts that
-		// accompany every registration, release and load completion.
-		q.SetBlocked(true)
-		a.activity.Wait(p)
-		q.SetBlocked(false)
-	}
-}
-
-// PickAvailable returns the resident needed chunk with the highest
-// useRelevance, or -1 if none is available. Candidates come straight from
+// PickAvailable implements chooseAvailableChunk of Figure 3: the resident
+// needed chunk with the highest useRelevance, or -1 if none is available
+// (ABM.Next then blocks in waitForChunk). Candidates come straight from
 // the query's maintained availability list; the winner (max score, lowest
 // chunk on ties) is independent of list order.
 func (s *relevStrategy) PickAvailable(q *Query) int {
@@ -149,34 +129,6 @@ func (s *relevStrategy) cachedBytes(c int, cols storage.ColSet) int64 {
 }
 
 // ---- ABM loader side ------------------------------------------------------
-
-func (s *relevStrategy) loader(p *sim.Proc) {
-	a := s.a
-	for !a.closed {
-		var start time.Duration
-		if a.cfg.MeasureScheduling {
-			start = a.schedStart()
-		}
-		d, ok := s.NextLoad()
-		if a.cfg.MeasureScheduling {
-			a.schedEnd(start)
-		}
-		if !ok {
-			// blockForNextQuery: nothing is starved (or nothing loadable).
-			a.activity.Wait(p)
-			continue
-		}
-		need := a.coldBytesFor(d.Chunk, d.Cols)
-		if a.cache.free() < need && !s.EnsureSpace(need, d.Query) {
-			a.activity.Wait(p)
-			continue
-		}
-		a.loadParts(p, d.Chunk, d.Cols, d.Query)
-		// Yield for one tick so the queries just signalled can pin the
-		// chunk before the next decision round considers evicting it.
-		p.Wait(0)
-	}
-}
 
 // NextLoad combines chooseQueryToProcess and chooseChunkToLoad: starved
 // queries are ranked by queryRelevance, and the best loadable chunk of the

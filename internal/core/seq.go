@@ -213,21 +213,8 @@ func (s *seqStrategy) chunkResidentOrLoading(c int, cols storage.ColSet) bool {
 // pure buffer hit (no I/O issued by this call).
 func (a *ABM) ensureChunkDemand(p *sim.Proc, q *Query, c int) bool {
 	cols := a.queryCols(q)
-	keys := a.cache.partsFor(cols, c)
-	mark := func() {
-		for _, k := range keys {
-			a.assembling[k]++
-		}
-	}
-	unmark := func() {
-		for _, k := range keys {
-			if a.assembling[k]--; a.assembling[k] == 0 {
-				delete(a.assembling, k)
-			}
-		}
-	}
-	mark()
-	defer unmark()
+	a.markAssembling(c, cols)
+	defer a.unmarkAssembling(c, cols)
 	hit := true
 	for {
 		// If any part is being loaded by another scan, wait for it: this is
@@ -248,9 +235,9 @@ func (a *ABM) ensureChunkDemand(p *sim.Proc, q *Query, c int) bool {
 				// scan can finish its chunk, and retry on the next event.
 				// Chunk assembly degrades to (partially) serial under
 				// severe buffer pressure instead of thrashing.
-				unmark()
+				a.unmarkAssembling(c, cols)
 				a.activity.Wait(p)
-				mark()
+				a.markAssembling(c, cols)
 				continue
 			}
 		}

@@ -84,10 +84,6 @@ type ServerConfig struct {
 	// sees overlapping requests even when a single stream cannot saturate
 	// it.
 	InFlightDepth int
-	// StarveThreshold, ElevatorWindow and Prefetch forward to core.Config.
-	StarveThreshold int
-	ElevatorWindow  int
-	Prefetch        int
 	// MeasureScheduling forwards to core.Config: every table's ABM then
 	// meters the wall-clock cost of its scheduling decisions (NextLoad,
 	// EnsureSpace, PickAvailable), surfaced per table in ServerStats — the
@@ -467,9 +463,6 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	s.o = newServerObs(cfg.Obs, cfg.Trace)
 	s.mgr = core.NewLiveManager(wallClock{start: s.start}, core.Config{
 		Policy:            cfg.Policy,
-		StarveThreshold:   cfg.StarveThreshold,
-		ElevatorWindow:    cfg.ElevatorWindow,
-		Prefetch:          cfg.Prefetch,
 		MeasureScheduling: cfg.MeasureScheduling,
 	})
 	s.mgr.SetMetrics(managerMetrics(cfg.Obs))
@@ -487,7 +480,7 @@ func NewServer(cfg ServerConfig, tfs ...*TableFile) (*Server, error) {
 	// crumbs (one per table, plus headroom for runtime attaches) and the
 	// in-flight loads' staging turnover.
 	frames := int(cfg.BufferBytes/minPage) + cfg.InFlightDepth*NumCols + len(tfs) + attachFrameSlack
-	s.pool = bufferpool.New(frames, bufferpool.LRU, s.readPage)
+	s.pool = bufferpool.New(frames, s.readPage)
 	s.pool.SetMetrics(poolMetrics(cfg.Obs))
 	s.pool.SetEvictObserver(func(_ bufferpool.PageID, data []byte) { s.recycle(data) })
 	for i := 0; i < cfg.InFlightDepth; i++ {
@@ -828,35 +821,20 @@ func (s *Server) issueOne() bool {
 		if s.o.enabled {
 			decStart = time.Now()
 		}
-		d, ok := t.pol.NextLoad()
+		// A decision naming a quarantined part is vetoed, not committed:
+		// the table stays parked until the affected scans observe the
+		// quarantine (they are woken when it is imposed), fail and
+		// unregister, so the policy's next decision no longer wants the
+		// dead part. A veto, like a table whose evictable parts are all
+		// pinned or protected, lets the other tables have their turn.
+		var skip func(core.LoadDecision) bool
+		if len(t.quarantine) > 0 {
+			skip = t.decisionQuarantined
+		}
+		d, marked, ok := t.abm.IssueLoad(skip)
 		if !ok {
 			continue
 		}
-		if len(t.quarantine) > 0 && t.decisionQuarantined(d) {
-			// The decision names an unloadable part. Don't commit it —
-			// leave the table parked until the affected scans observe the
-			// quarantine (they are woken when it is imposed), fail, and
-			// unregister; the policy's next decision then no longer wants
-			// the dead part. Other tables still get their turn below.
-			continue
-		}
-		need := t.abm.ColdBytes(d.Chunk, d.Cols)
-		if need > 0 && t.abm.FreeBytes() < need {
-			// Shield the chunk's resident sibling parts while evicting: a
-			// DSM chunk can be partially resident, and victimising those
-			// parts would widen the load beyond the `need` just ensured
-			// (the §6.2 mark-as-used rule; see core.MarkAssembling).
-			t.abm.MarkAssembling(d.Chunk, d.Cols)
-			ok := t.pol.EnsureSpace(need, d.Query)
-			t.abm.UnmarkAssembling(d.Chunk, d.Cols)
-			if !ok {
-				// Everything evictable in this table is pinned or protected:
-				// skip it until a release, but let other tables proceed.
-				continue
-			}
-		}
-		t.pol.CommitLoad(d)
-		marked := t.abm.BeginLoad(d)
 		var missing []bufferpool.PageID
 		t.eachPart(marked, func(col int) {
 			first, count := t.partPages(d.Chunk, col)

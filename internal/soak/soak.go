@@ -244,28 +244,16 @@ func RunCore(cfg CoreConfig) (CoreReport, error) {
 		t.queries = append(t.queries[:i], t.queries[i+1:]...)
 	}
 
-	// issue mirrors the engine's issueOne for one table, bounded to four
-	// loads in flight like the engine's default depth.
+	// issue issues one load for the table through the engine's own
+	// IssueLoad call, bounded to four loads in flight like the engine's
+	// default depth.
 	issue := func(t *soakTable) {
 		if len(t.inflight) >= 4 {
 			return
 		}
-		d, ok := t.pol.NextLoad()
-		if !ok {
-			return
+		if d, marked, ok := t.abm.IssueLoad(nil); ok {
+			t.inflight = append(t.inflight, soakLoad{d: d, marked: marked})
 		}
-		need := t.abm.ColdBytes(d.Chunk, d.Cols)
-		if need > 0 && t.abm.FreeBytes() < need {
-			t.abm.MarkAssembling(d.Chunk, d.Cols)
-			ok := t.pol.EnsureSpace(need, d.Query)
-			t.abm.UnmarkAssembling(d.Chunk, d.Cols)
-			if !ok {
-				return
-			}
-		}
-		t.pol.CommitLoad(d)
-		marked := t.abm.BeginLoad(d)
-		t.inflight = append(t.inflight, soakLoad{d: d, marked: marked})
 	}
 
 	// land completes (or, rarely, aborts) a random in-flight load, in

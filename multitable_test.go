@@ -19,24 +19,21 @@ func multiLayouts() []coopscan.Layout {
 	}
 }
 
-func TestMultiSystemScansBothTables(t *testing.T) {
+func TestSystemScansTwoTables(t *testing.T) {
 	layouts := multiLayouts()
-	ms := coopscan.NewMultiSystem(layouts, coopscan.Config{
+	sys := coopscan.NewSystem(coopscan.Config{
 		Policy:      coopscan.Relevance,
 		BufferBytes: 24 << 20,
 		Disk:        coopscan.DiskParams{Bandwidth: 50 << 20, SeekTime: 2e-3},
-	})
-	ms.AddStream(0,
-		coopscan.TableScan{Table: "facts", Scan: coopscan.Scan{
-			Name: "f1", Ranges: coopscan.FullTable(layouts[0]), CPUPerChunk: 0.01}},
-		coopscan.TableScan{Table: "history", Scan: coopscan.Scan{
-			Name: "h1", Ranges: coopscan.FullTable(layouts[1]), CPUPerChunk: 0.01}},
+	}, layouts...)
+	sys.AddStream(0,
+		coopscan.Scan{Table: "facts", Name: "f1", Ranges: coopscan.FullTable(layouts[0]), CPUPerChunk: 0.01},
+		coopscan.Scan{Table: "history", Name: "h1", Ranges: coopscan.FullTable(layouts[1]), CPUPerChunk: 0.01},
 	)
-	ms.AddStream(0.5,
-		coopscan.TableScan{Table: "facts", Scan: coopscan.Scan{
-			Name: "f2", Ranges: coopscan.FullTable(layouts[0]), CPUPerChunk: 0.02}},
+	sys.AddStream(0.5,
+		coopscan.Scan{Table: "facts", Name: "f2", Ranges: coopscan.FullTable(layouts[0]), CPUPerChunk: 0.02},
 	)
-	rep, err := ms.Run()
+	rep, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +57,7 @@ func TestMultiSystemScansBothTables(t *testing.T) {
 	}
 }
 
-func TestMultiSystemSmallTableAdvice(t *testing.T) {
+func TestSystemSmallTableAdvice(t *testing.T) {
 	big := tpch.LineitemTable(0.5)
 	big.Name = "big"
 	tiny := tpch.LineitemTable(0.004)
@@ -69,22 +66,22 @@ func TestMultiSystemSmallTableAdvice(t *testing.T) {
 		coopscan.NewRowLayoutWidth(big, 1<<20, 72),
 		coopscan.NewRowLayoutWidth(tiny, 1<<20, 72),
 	}
-	ms := coopscan.NewMultiSystem(layouts, coopscan.Config{
+	sys := coopscan.NewSystem(coopscan.Config{
 		Policy: coopscan.Relevance, BufferBytes: 16 << 20,
 		Disk: coopscan.DiskParams{Bandwidth: 50 << 20, SeekTime: 2e-3},
-	})
-	if !ms.UseCScan("big") {
+	}, layouts...)
+	if !sys.UseCScan("big") {
 		t.Error("big table should use CScan")
 	}
-	if ms.UseCScan("tiny") {
+	if sys.UseCScan("tiny") {
 		t.Error("tiny table should fall back to Scan (§7.1)")
 	}
-	if ms.UseCScan("absent") {
+	if sys.UseCScan("absent") {
 		t.Error("unknown table should not use CScan")
 	}
 }
 
-func TestMultiSystemValidation(t *testing.T) {
+func TestSystemMultiTableValidation(t *testing.T) {
 	layouts := multiLayouts()
 	cfg := coopscan.Config{Policy: coopscan.Normal, BufferBytes: 16 << 20,
 		Disk: coopscan.DiskParams{Bandwidth: 50 << 20}}
@@ -94,19 +91,26 @@ func TestMultiSystemValidation(t *testing.T) {
 				t.Error("no layouts should panic")
 			}
 		}()
-		coopscan.NewMultiSystem(nil, cfg)
+		coopscan.NewSystem(cfg)
 	}()
-	ms := coopscan.NewMultiSystem(layouts, cfg)
+	sys := coopscan.NewSystem(cfg, layouts...)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("unknown table should panic")
 			}
 		}()
-		ms.AddStream(0, coopscan.TableScan{Table: "nope", Scan: coopscan.Scan{
-			Name: "x", Ranges: coopscan.FullTable(layouts[0])}})
+		sys.AddStream(0, coopscan.Scan{Table: "nope", Name: "x", Ranges: coopscan.FullTable(layouts[0])})
 	}()
-	if _, err := ms.Run(); err == nil || !strings.Contains(err.Error(), "no streams") {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a scan without a table should panic when there are two tables")
+			}
+		}()
+		sys.AddStream(0, coopscan.Scan{Name: "x", Ranges: coopscan.FullTable(layouts[0])})
+	}()
+	if _, err := sys.Run(); err == nil || !strings.Contains(err.Error(), "no streams") {
 		t.Errorf("Run without streams: %v", err)
 	}
 }
