@@ -1,13 +1,11 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus ablation benches for the design choices DESIGN.md calls out. Each
-// iteration runs the experiment end to end at its quick configuration; run
+// Benchmarks of the simulator that no experiment covers as a sweep: the
+// relevance scheduler's decision cost at scale (make bench-sched and
+// bench-scale record it) and the chunk-size trade-off. Every table and
+// figure of the paper's evaluation is regenerated by
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/coopscan -exp all -quick
 //
-// for the full set, or e.g. -bench=BenchmarkTable2 for one artifact. The
-// reported custom metrics carry the experiment's headline numbers (I/O
-// requests, stream time, normalised latency) so regressions in scheduling
-// quality — not just in wall-clock speed — show up in benchmark diffs.
+// and checked by internal/experiments' tests.
 package coopscan_test
 
 import (
@@ -17,75 +15,6 @@ import (
 	"coopscan/internal/experiments"
 	"coopscan/internal/workload"
 )
-
-// BenchmarkFig2 evaluates the paper's formula (1) curves (Figure 2).
-func BenchmarkFig2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig2()
-		if len(r.Points) == 0 {
-			b.Fatal("no points")
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates the NSM/PAX policy comparison (Table 2).
-func BenchmarkTable2(b *testing.B) {
-	var last *experiments.Table2Result
-	for i := 0; i < b.N; i++ {
-		last = experiments.Table2(experiments.QuickTable2())
-	}
-	reportPolicyMetrics(b, lastResults(last))
-}
-
-// BenchmarkFig4 regenerates the disk-access traces (Figure 4).
-func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig4(experiments.QuickTable2())
-		if len(r.Traces) != 4 {
-			b.Fatal("missing traces")
-		}
-	}
-}
-
-// BenchmarkFig5 regenerates the query-mix scatter (Figure 5).
-func BenchmarkFig5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig5(experiments.QuickFig5())
-		if len(r.Points) == 0 {
-			b.Fatal("no points")
-		}
-	}
-}
-
-// BenchmarkFig6 regenerates the buffer-capacity sweep (Figure 6).
-func BenchmarkFig6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6(experiments.QuickFig6())
-		if len(r.Points) == 0 {
-			b.Fatal("no points")
-		}
-	}
-}
-
-// BenchmarkFig7 regenerates the concurrency sweep (Figure 7).
-func BenchmarkFig7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig7(experiments.QuickFig7())
-		if len(r.Points) == 0 {
-			b.Fatal("no points")
-		}
-	}
-}
-
-// BenchmarkFig8 regenerates the scheduling-cost measurement (Figure 8).
-func BenchmarkFig8(b *testing.B) {
-	var perDecision float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig8(experiments.QuickFig8())
-		perDecision = r.Points[len(r.Points)-1].PerDecision
-	}
-	b.ReportMetric(perDecision, "sched-µs/decision")
-}
 
 // BenchmarkSchedulerScaling measures the relevance scheduler's decision
 // cost at high concurrency and fine chunking (the large-scale extension of
@@ -132,142 +61,6 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3 regenerates the DSM policy comparison (Table 3).
-func BenchmarkTable3(b *testing.B) {
-	var last []workload.Result
-	for i := 0; i < b.N; i++ {
-		last = experiments.Table3(experiments.QuickTable3()).Results
-	}
-	reportPolicyMetrics(b, last)
-}
-
-// BenchmarkTable4 regenerates the DSM column-overlap study (Table 4).
-func BenchmarkTable4(b *testing.B) {
-	var rows []experiments.Table4Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Table4(experiments.QuickTable4()).Rows
-	}
-	for _, row := range rows {
-		if row.Variant == "ABC" && row.Policy == core.Relevance {
-			b.ReportMetric(float64(row.IORequests), "relevance-ios")
-		}
-	}
-}
-
-func lastResults(r *experiments.Table2Result) []workload.Result {
-	if r == nil {
-		return nil
-	}
-	return r.Results
-}
-
-func reportPolicyMetrics(b *testing.B, results []workload.Result) {
-	b.Helper()
-	for _, res := range results {
-		switch res.Policy {
-		case core.Normal:
-			b.ReportMetric(float64(res.IORequests), "normal-ios")
-		case core.Relevance:
-			b.ReportMetric(float64(res.IORequests), "relevance-ios")
-			b.ReportMetric(res.AvgNormLatency, "relevance-normlat")
-		}
-	}
-}
-
-// ---- Ablations ---------------------------------------------------------------
-
-// ablationSpec is the common workload the relevance ablations run against.
-func ablationSpec() workload.Spec {
-	spec := experiments.QuickTable2().Spec()
-	spec.Policy = core.Relevance
-	return spec
-}
-
-// BenchmarkAblationStarveThreshold sweeps the queryStarved threshold
-// (paper: 2). Threshold 1 keeps queries starving longer before service;
-// larger thresholds make the loader hover over fewer queries.
-func BenchmarkAblationStarveThreshold(b *testing.B) {
-	for _, threshold := range []int{1, 2, 4} {
-		b.Run(benchName("threshold", threshold), func(b *testing.B) {
-			var r workload.Result
-			for i := 0; i < b.N; i++ {
-				spec := ablationSpec()
-				spec.StarveThreshold = threshold
-				r = spec.Run()
-			}
-			b.ReportMetric(r.AvgNormLatency, "normlat")
-			b.ReportMetric(r.AvgStreamTime, "streamtime")
-		})
-	}
-}
-
-// BenchmarkAblationShortQueryPriority disables queryRelevance's
-// -chunksNeeded term: the paper credits it for avoiding round-robin chunk
-// assignment and its "negative impact on query latency".
-func BenchmarkAblationShortQueryPriority(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		b.Run(benchBool("disabled", disabled), func(b *testing.B) {
-			var r workload.Result
-			for i := 0; i < b.N; i++ {
-				spec := ablationSpec()
-				spec.NoShortQueryPriority = disabled
-				r = spec.Run()
-			}
-			b.ReportMetric(r.AvgNormLatency, "normlat")
-		})
-	}
-}
-
-// BenchmarkAblationWaitPromotion disables the waiting-time aging term that
-// protects long queries from perpetual starvation.
-func BenchmarkAblationWaitPromotion(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		b.Run(benchBool("disabled", disabled), func(b *testing.B) {
-			var r workload.Result
-			for i := 0; i < b.N; i++ {
-				spec := ablationSpec()
-				spec.NoWaitPromotion = disabled
-				r = spec.Run()
-			}
-			b.ReportMetric(r.AvgNormLatency, "normlat")
-			b.ReportMetric(maxLatency(r), "max-latency")
-		})
-	}
-}
-
-// BenchmarkAblationElevatorWindow sweeps the elevator's run-ahead bound.
-func BenchmarkAblationElevatorWindow(b *testing.B) {
-	for _, window := range []int{2, 4, 16} {
-		b.Run(benchName("window", window), func(b *testing.B) {
-			var r workload.Result
-			for i := 0; i < b.N; i++ {
-				spec := experiments.QuickTable2().Spec()
-				spec.Policy = core.Elevator
-				spec.ElevatorWindow = window
-				r = spec.Run()
-			}
-			b.ReportMetric(r.AvgStreamTime, "streamtime")
-			b.ReportMetric(float64(r.IORequests), "ios")
-		})
-	}
-}
-
-// BenchmarkAblationPrefetch sweeps the sequential policies' read-ahead.
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for _, depth := range []int{-1, 1, 2} { // -1 disables read-ahead
-		b.Run(benchName("depth", depth), func(b *testing.B) {
-			var r workload.Result
-			for i := 0; i < b.N; i++ {
-				spec := experiments.QuickTable2().Spec()
-				spec.Policy = core.Normal
-				spec.Prefetch = depth
-				r = spec.Run()
-			}
-			b.ReportMetric(r.AvgStreamTime, "streamtime")
-		})
-	}
-}
-
 // BenchmarkAblationChunkSize sweeps the scan I/O unit: smaller chunks mean
 // finer scheduling but more seeks (the trade-off behind the paper's 16 MB
 // choice and Figure 8's cost growth).
@@ -280,8 +73,8 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 				spec := opts.Spec()
 				layout := experiments.NSMLineitemChunk(opts.SF, mb<<20)
 				spec.Layout = layout
-				spec.BufferBytes = int64(opts.BufferChunks) * 16 << 20 // same bytes
-				spec.Policy = core.Relevance
+				spec.Core.BufferBytes = int64(opts.BufferChunks) * 16 << 20 // same bytes
+				spec.Core.Policy = core.Relevance
 				r = spec.Run()
 			}
 			b.ReportMetric(r.AvgStreamTime, "streamtime")
@@ -292,13 +85,6 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 
 func benchName(k string, v int) string { return k + "=" + itoa(v) }
 
-func benchBool(k string, v bool) string {
-	if v {
-		return k + "=true"
-	}
-	return k + "=false"
-}
-
 func itoa(v int) string {
 	if v < 0 {
 		return "-" + itoa(-v)
@@ -307,14 +93,4 @@ func itoa(v int) string {
 		return string(rune('0' + v))
 	}
 	return itoa(v/10) + string(rune('0'+v%10))
-}
-
-func maxLatency(r workload.Result) float64 {
-	worst := 0.0
-	for _, q := range r.Queries {
-		if l := q.Stats.Latency(); l > worst {
-			worst = l
-		}
-	}
-	return worst
 }

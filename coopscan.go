@@ -42,6 +42,7 @@ import (
 	"coopscan/internal/disk"
 	"coopscan/internal/sim"
 	"coopscan/internal/storage"
+	"coopscan/internal/workload"
 )
 
 // Policy selects the I/O scheduling policy (the paper's §3-§4).
@@ -129,33 +130,9 @@ type Config struct {
 	Disk DiskParams
 }
 
-// The simulated CPU: the paper's dual-core machine, time-shared in 10 ms
-// preemption slices.
-const (
-	cpuCores   = 2
-	cpuQuantum = 0.01
-)
-
-// Scan describes one cooperative scan to execute.
-type Scan struct {
-	// Name labels the scan in statistics.
-	Name string
-	// Table names the layout the scan reads (its Table().Name); it may be
-	// empty when the system has one table.
-	Table string
-	// Ranges is the set of chunks to read; required.
-	Ranges RangeSet
-	// Columns is the DSM column set; ignored for row layouts.
-	Columns ColSet
-	// CPUPerChunk is the simulated processing cost of one full chunk in
-	// seconds (scaled down pro rata for a short final chunk).
-	CPUPerChunk float64
-	// OnChunk, when non-nil, is invoked for every delivered chunk with the
-	// table row range it covers, in delivery order — the hook where real
-	// query processing (e.g. exec-style aggregation) plugs in. Delivery
-	// order is policy-dependent and generally not sequential.
-	OnChunk func(chunk int, firstRow, rows int64)
-}
+// Scan describes one cooperative scan to execute: its table, chunk ranges,
+// DSM columns, per-chunk CPU cost and an optional per-chunk OnChunk hook.
+type Scan = workload.Scan
 
 // System is an assembled simulation: a disk, a CPU pool, one ABM per table
 // layout under a core.Manager (each with its own chunk map, query registry
@@ -164,22 +141,10 @@ type Scan struct {
 // meta-data for each"), and a set of query streams. Build with NewSystem,
 // add streams, then call Run exactly once.
 type System struct {
-	env *sim.Env
-	dsk *disk.Disk
-	cpu *sim.Resource
-	mgr *core.Manager
-
-	layouts  map[string]Layout
-	only     string // the table name of a one-table system, else ""
-	nStreams int
-	pending  int
-	results  []scanSlot
-	ran      bool
-}
-
-type scanSlot struct {
-	stream int
-	stats  ScanStats
+	sim     *workload.Sim
+	scans   []ScanStats // per scan, in AddStream order
+	streams []int       // each scan's stream index
+	ran     bool
 }
 
 // NewSystem creates a system over one or more layouts, keyed by table name.
@@ -189,40 +154,15 @@ func NewSystem(cfg Config, layouts ...Layout) *System {
 	if len(layouts) == 0 {
 		panic("coopscan: NewSystem with no layouts")
 	}
-	if cfg.Disk.Bandwidth == 0 {
-		cfg.Disk = disk.DefaultParams()
-	}
-	env := sim.NewEnv()
-	d := disk.New(env, cfg.Disk)
-	s := &System{
-		env: env, dsk: d, cpu: env.NewResource("cpu", cpuCores),
-		mgr:     core.NewManager(env, d, core.Config{Policy: cfg.Policy}),
-		layouts: make(map[string]Layout, len(layouts)),
-	}
-	shares := []int64{cfg.BufferBytes}
-	if len(layouts) > 1 {
-		// Floor each table's share at one full-width chunk so every ABM
-		// can make progress.
-		var maxChunk int64 = 1
-		for _, l := range layouts {
-			maxChunk = max(maxChunk, l.ChunkBytes(0, AllCols(min(l.Table().NumColumns(), 64))))
-		}
-		shares = core.SplitBuffer(cfg.BufferBytes, maxChunk, layouts...)
-	} else {
-		s.only = layouts[0].Table().Name
-	}
-	for i, l := range layouts {
-		s.layouts[l.Table().Name] = l
-		s.mgr.Attach(l, shares[i])
-	}
-	return s
+	abm := core.Config{Policy: cfg.Policy, BufferBytes: cfg.BufferBytes}
+	return &System{sim: workload.NewSim(abm, cfg.Disk, 0, layouts...)}
 }
 
 // UseCScan reports whether scans of the named table go through the
 // cooperative machinery (§7.1: small tables fall back to plain Scan —
 // which in this implementation is simply a one-query normal-policy pass,
 // so the answer is advisory).
-func (s *System) UseCScan(table string) bool { return s.mgr.UseCScan(table) }
+func (s *System) UseCScan(table string) bool { return s.sim.UseCScan(table) }
 
 // AddStream schedules scans to run sequentially, starting at virtual time
 // startAt seconds — the paper's notion of a query stream.
@@ -233,59 +173,25 @@ func (s *System) AddStream(startAt float64, scans ...Scan) {
 	if len(scans) == 0 {
 		panic("coopscan: empty stream")
 	}
-	scans = append([]Scan(nil), scans...)
-	for i := range scans {
-		sc := &scans[i]
-		if sc.Table == "" {
-			sc.Table = s.only
-		}
-		if _, ok := s.layouts[sc.Table]; !ok {
+	for _, sc := range scans {
+		if _, ok := s.sim.ABM(sc.Table); !ok {
 			panic(fmt.Sprintf("coopscan: scan %q names unknown table %q", sc.Name, sc.Table))
 		}
 		if sc.Ranges.Empty() {
 			panic(fmt.Sprintf("coopscan: scan %q has no ranges", sc.Name))
 		}
 	}
-	streamIdx := s.nStreams
-	s.nStreams++
-	base := len(s.results)
-	for range scans {
-		s.results = append(s.results, scanSlot{stream: streamIdx})
-	}
-	s.pending++
-	s.env.ProcessAt(fmt.Sprintf("stream-%d", streamIdx), startAt, func(p *sim.Proc) {
+	scans = append([]Scan(nil), scans...)
+	base := len(s.scans)
+	s.scans = append(s.scans, make([]ScanStats, len(scans))...)
+	stream := s.sim.Stream(startAt, func(p *sim.Proc) {
 		for i, sc := range scans {
-			s.results[base+i].stats = s.runScan(p, sc)
-		}
-		s.pending--
-		if s.pending == 0 {
-			s.mgr.Shutdown()
+			s.scans[base+i] = s.sim.RunScan(p, sc)
 		}
 	})
-}
-
-// runScan executes one scan of a stream as a CScan over its table's ABM.
-func (s *System) runScan(p *sim.Proc, sc Scan) ScanStats {
-	layout := s.layouts[sc.Table]
-	abm, _ := s.mgr.For(sc.Table)
-	fullTuples := layout.ChunkTuples(0)
-	opts := core.ScanOptions{CPU: s.cpu, Quantum: cpuQuantum}
-	if sc.CPUPerChunk > 0 {
-		per := sc.CPUPerChunk
-		opts.Cost = func(_ int, tuples int64) float64 {
-			if fullTuples <= 0 {
-				return per
-			}
-			return per * float64(tuples) / float64(fullTuples)
-		}
+	for range scans {
+		s.streams = append(s.streams, stream)
 	}
-	if sc.OnChunk != nil {
-		hook := sc.OnChunk
-		opts.OnChunk = func(chunk int) {
-			hook(chunk, int64(chunk)*fullTuples, layout.ChunkTuples(chunk))
-		}
-	}
-	return core.RunCScan(p, abm, abm.NewQuery(sc.Name, sc.Ranges, sc.Columns), opts)
 }
 
 // Report is the outcome of a Run.
@@ -310,26 +216,24 @@ func (s *System) Run() (*Report, error) {
 	if s.ran {
 		return nil, fmt.Errorf("coopscan: Run called twice")
 	}
-	if s.nStreams == 0 {
+	if len(s.scans) == 0 {
 		return nil, fmt.Errorf("coopscan: no streams added")
 	}
 	s.ran = true
-	if err := s.env.Run(0); err != nil {
+	out, err := s.sim.Run()
+	if err != nil {
 		return nil, fmt.Errorf("coopscan: simulation stuck: %w", err)
 	}
-	rep := &Report{
-		System:         s.mgr.Stats(),
-		Disk:           s.dsk.Stats(),
-		Elapsed:        s.env.Now(),
-		CPUUtilisation: s.cpu.Utilisation(),
-	}
-	for _, slot := range s.results {
-		rep.Scans = append(rep.Scans, slot.stats)
-		rep.Streams = append(rep.Streams, slot.stream)
-	}
-	return rep, nil
+	return &Report{
+		Scans:          s.scans,
+		Streams:        s.streams,
+		System:         out.SystemStats,
+		Disk:           out.Disk,
+		Elapsed:        out.Elapsed,
+		CPUUtilisation: out.CPUUtilisation,
+	}, nil
 }
 
 // Pace makes Run sleep factor×(virtual seconds) of wall time between
 // events, so examples can animate a simulation; call before Run.
-func (s *System) Pace(factor float64) { s.env.Pace = factor }
+func (s *System) Pace(factor float64) { s.sim.Pace(factor) }

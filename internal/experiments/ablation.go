@@ -45,15 +45,15 @@ func Ablation(o AblationOpts) *AblationResult {
 		mutate func(*workload.Spec)
 	}
 	variants := []variant{
-		{"relevance (baseline)", func(s *workload.Spec) { s.Policy = core.Relevance }},
-		{"starve threshold=1", func(s *workload.Spec) { s.Policy = core.Relevance; s.StarveThreshold = 1 }},
-		{"starve threshold=4", func(s *workload.Spec) { s.Policy = core.Relevance; s.StarveThreshold = 4 }},
-		{"no short-query priority", func(s *workload.Spec) { s.Policy = core.Relevance; s.NoShortQueryPriority = true }},
-		{"no wait promotion", func(s *workload.Spec) { s.Policy = core.Relevance; s.NoWaitPromotion = true }},
-		{"normal, no prefetch", func(s *workload.Spec) { s.Policy = core.Normal; s.Prefetch = -1 }},
-		{"normal, prefetch=2", func(s *workload.Spec) { s.Policy = core.Normal; s.Prefetch = 2 }},
-		{"elevator window=2", func(s *workload.Spec) { s.Policy = core.Elevator; s.ElevatorWindow = 2 }},
-		{"elevator window=16", func(s *workload.Spec) { s.Policy = core.Elevator; s.ElevatorWindow = 16 }},
+		{"relevance (baseline)", func(s *workload.Spec) { s.Core.Policy = core.Relevance }},
+		{"starve threshold=1", func(s *workload.Spec) { s.Core.Policy = core.Relevance; s.Core.StarveThreshold = 1 }},
+		{"starve threshold=4", func(s *workload.Spec) { s.Core.Policy = core.Relevance; s.Core.StarveThreshold = 4 }},
+		{"no short-query priority", func(s *workload.Spec) { s.Core.Policy = core.Relevance; s.Core.NoShortQueryPriority = true }},
+		{"no wait promotion", func(s *workload.Spec) { s.Core.Policy = core.Relevance; s.Core.NoWaitPromotion = true }},
+		{"normal, no prefetch", func(s *workload.Spec) { s.Core.Policy = core.Normal; s.Core.Prefetch = -1 }},
+		{"normal, prefetch=2", func(s *workload.Spec) { s.Core.Policy = core.Normal; s.Core.Prefetch = 2 }},
+		{"elevator window=2", func(s *workload.Spec) { s.Core.Policy = core.Elevator; s.Core.ElevatorWindow = 2 }},
+		{"elevator window=16", func(s *workload.Spec) { s.Core.Policy = core.Elevator; s.Core.ElevatorWindow = 16 }},
 	}
 	out := &AblationResult{Opts: o}
 	for _, v := range variants {
@@ -68,7 +68,7 @@ func Ablation(o AblationOpts) *AblationResult {
 		}
 		out.Rows = append(out.Rows, AblationRow{
 			Variant:        v.name,
-			Policy:         spec.Policy,
+			Policy:         spec.Core.Policy,
 			AvgStreamTime:  res.AvgStreamTime,
 			AvgNormLatency: res.AvgNormLatency,
 			MaxLatency:     worst,

@@ -35,6 +35,22 @@ func TestAblationRunsAllVariants(t *testing.T) {
 	if noPf.AvgStreamTime < pf2.AvgStreamTime*0.95 {
 		t.Errorf("no-prefetch (%.2f) beat prefetch=2 (%.2f)", noPf.AvgStreamTime, pf2.AvgStreamTime)
 	}
+	// Each single-knob pair must issue different I/O counts: a knob that
+	// Spec.Core failed to reach the ABM would leave its variant identical
+	// to its partner. ("no wait promotion" matches the baseline in quick
+	// mode, so it cannot be checked this way.)
+	for _, pair := range [][2]string{
+		{"starve threshold=1", "starve threshold=4"},
+		{"normal, no prefetch", "normal, prefetch=2"},
+		{"elevator window=2", "elevator window=16"},
+		{"no short-query priority", "relevance (baseline)"},
+	} {
+		a, b := byName[pair[0]], byName[pair[1]]
+		if a.IORequests == b.IORequests {
+			t.Errorf("%s and %s both issued %d I/Os: the knob did not reach the ABM",
+				pair[0], pair[1], a.IORequests)
+		}
+	}
 	if !strings.Contains(r.String(), "Ablation") {
 		t.Error("rendering incomplete")
 	}

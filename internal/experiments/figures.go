@@ -96,7 +96,7 @@ func Fig4(o Table2Opts) *Fig4Result {
 	out := &Fig4Result{Opts: o, Traces: make(map[string][]Fig4Point)}
 	for _, pol := range core.Policies {
 		spec := o.Spec()
-		spec.Policy = pol
+		spec.Core.Policy = pol
 		spec.TraceDisk = 1 << 20
 		res := spec.Run()
 		pts := make([]Fig4Point, 0, len(res.DiskTrace))
@@ -168,7 +168,7 @@ func Fig5(o Fig5Opts) *Fig5Result {
 	for _, mix := range o.Mixes {
 		spec := workload.Spec{
 			Layout:           NSMLineitem(o.SF),
-			BufferBytes:      int64(o.BufferChunks) * ChunkBytes,
+			Core:             core.Config{BufferBytes: int64(o.BufferChunks) * ChunkBytes},
 			Streams:          o.Streams,
 			QueriesPerStream: o.QPS,
 			Mix:              mix,

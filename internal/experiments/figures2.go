@@ -81,7 +81,7 @@ func Fig6(o Fig6Opts) *Fig6Result {
 			}
 			spec := workload.Spec{
 				Layout:           layout,
-				BufferBytes:      int64(bufChunks) * ChunkBytes,
+				Core:             core.Config{BufferBytes: int64(bufChunks) * ChunkBytes},
 				Streams:          o.Streams,
 				QueriesPerStream: o.QPS,
 				Mix:              mix,
@@ -91,7 +91,7 @@ func Fig6(o Fig6Opts) *Fig6Result {
 				out.Points = append(out.Points, Fig6Point{
 					Set: set, Fraction: frac, Policy: res.Policy,
 					IORequests: res.IORequests,
-					SystemTime: res.TotalTime,
+					SystemTime: res.Elapsed,
 					AvgNormLat: res.AvgNormLatency,
 				})
 			}
@@ -174,7 +174,7 @@ func Fig7(o Fig7Opts) *Fig7Result {
 			mix.Templates = []workload.Template{{Speed: workload.Fast, Percent: pct}}
 			spec := workload.Spec{
 				Layout:           layout,
-				BufferBytes:      int64(o.BufferChunks) * ChunkBytes,
+				Core:             core.Config{BufferBytes: int64(o.BufferChunks) * ChunkBytes},
 				Streams:          n,
 				QueriesPerStream: 1,
 				StreamDelay:      0.1,
@@ -282,25 +282,23 @@ func Fig8(o Fig8Opts) *Fig8Result {
 			mix.Label = fmt.Sprintf("F-%g", pct)
 			mix.Templates = []workload.Template{{Speed: workload.Fast, Percent: pct}}
 			spec := workload.Spec{
-				Layout:            layout,
-				BufferBytes:       o.TableBytes / 2,
-				Streams:           o.Streams,
-				QueriesPerStream:  o.QPS,
-				StreamDelay:       1,
-				Mix:               mix,
-				Seed:              o.Seed,
-				Policy:            core.Relevance,
-				MeasureScheduling: true,
+				Layout:           layout,
+				Core:             core.Config{Policy: core.Relevance, BufferBytes: o.TableBytes / 2, MeasureScheduling: true},
+				Streams:          o.Streams,
+				QueriesPerStream: o.QPS,
+				StreamDelay:      1,
+				Mix:              mix,
+				Seed:             o.Seed,
 			}
 			res := spec.Run()
 			nq := float64(len(res.Queries))
 			pt := Fig8Point{Chunks: nChunks, ScanPct: pct}
-			pt.PerQueryMS = res.SchedNanos / 1e6 / nq
-			if res.TotalTime > 0 {
-				pt.ExecFrac = res.SchedNanos / 1e9 / res.TotalTime
+			pt.PerQueryMS = float64(res.SchedTime) / 1e6 / nq
+			if res.Elapsed > 0 {
+				pt.ExecFrac = float64(res.SchedTime) / 1e9 / res.Elapsed
 			}
 			if res.SchedCalls > 0 {
-				pt.PerDecision = res.SchedNanos / 1e3 / float64(res.SchedCalls)
+				pt.PerDecision = float64(res.SchedTime) / 1e3 / float64(res.SchedCalls)
 			}
 			out.Points = append(out.Points, pt)
 		}

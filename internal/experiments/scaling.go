@@ -103,25 +103,23 @@ func schedScalingPoint(o SchedScalingOpts, n, chunks int) SchedScalingPoint {
 	mix.Label = fmt.Sprintf("F-%g×%d", o.ScanPct, n)
 	mix.Templates = []workload.Template{{Speed: workload.Fast, Percent: o.ScanPct}}
 	spec := workload.Spec{
-		Layout:            layout,
-		BufferBytes:       o.TableBytes / 2,
-		Streams:           n,
-		QueriesPerStream:  1,
-		StreamDelay:       0.1,
-		StreamBatch:       o.StreamBatch,
-		Mix:               mix,
-		Seed:              o.Seed,
-		Policy:            core.Relevance,
-		MeasureScheduling: true,
+		Layout:           layout,
+		Core:             core.Config{Policy: core.Relevance, BufferBytes: o.TableBytes / 2, MeasureScheduling: true},
+		Streams:          n,
+		QueriesPerStream: 1,
+		StreamDelay:      0.1,
+		StreamBatch:      o.StreamBatch,
+		Mix:              mix,
+		Seed:             o.Seed,
 	}
 	res := spec.Run()
 	pt := SchedScalingPoint{
 		Queries: n, Chunks: chunks, Decisions: res.SchedCalls,
-		SchedMS:    res.SchedNanos / 1e6,
+		SchedMS:    float64(res.SchedTime) / 1e6,
 		IORequests: res.IORequests, Evictions: res.Evictions,
 	}
 	if res.SchedCalls > 0 {
-		pt.PerDecision = res.SchedNanos / float64(res.SchedCalls)
+		pt.PerDecision = float64(res.SchedTime) / float64(res.SchedCalls)
 	}
 	return pt
 }

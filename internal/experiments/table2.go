@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"coopscan/internal/core"
 	"coopscan/internal/workload"
 )
 
@@ -38,7 +39,7 @@ type Table2Result struct {
 func (o Table2Opts) Spec() workload.Spec {
 	return workload.Spec{
 		Layout:           NSMLineitem(o.SF),
-		BufferBytes:      int64(o.BufferChunks) * ChunkBytes,
+		Core:             core.Config{BufferBytes: int64(o.BufferChunks) * ChunkBytes},
 		Streams:          o.Streams,
 		QueriesPerStream: o.QueriesPerStream,
 		Mix:              workload.StandardMix(),
@@ -77,8 +78,8 @@ func writePolicyTable(b *strings.Builder, results []workload.Result) {
 	}
 	row("Avg. stream time (s)", func(r workload.Result) string { return fmt.Sprintf("%.2f", r.AvgStreamTime) })
 	row("Avg. normalized latency", func(r workload.Result) string { return fmt.Sprintf("%.2f", r.AvgNormLatency) })
-	row("Total time (s)", func(r workload.Result) string { return fmt.Sprintf("%.2f", r.TotalTime) })
-	row("CPU use", func(r workload.Result) string { return fmt.Sprintf("%.2f%%", 100*r.CPUUse) })
+	row("Total time (s)", func(r workload.Result) string { return fmt.Sprintf("%.2f", r.Elapsed) })
+	row("CPU use", func(r workload.Result) string { return fmt.Sprintf("%.2f%%", 100*r.CPUUtilisation) })
 	row("I/O requests", func(r workload.Result) string { return fmt.Sprintf("%d", r.IORequests) })
 
 	fmt.Fprintf(b, "\nQuery statistics (avg latency s / norm / IOs)\n")

@@ -55,7 +55,7 @@ type Table3Result struct {
 func (o Table3Opts) Spec() workload.Spec {
 	return workload.Spec{
 		Layout:           DSMLineitem(o.SF),
-		BufferBytes:      o.BufferBytes,
+		Core:             core.Config{BufferBytes: o.BufferBytes},
 		Streams:          o.Streams,
 		QueriesPerStream: o.QueriesPerStream,
 		Mix:              workload.StandardMix(),
@@ -186,12 +186,11 @@ func Table4(o Table4Opts) *Table4Result {
 		for _, pol := range []core.Policy{core.Normal, core.Relevance} {
 			spec := workload.Spec{
 				Layout:           layout,
-				BufferBytes:      o.BufferBytes,
+				Core:             core.Config{Policy: pol, BufferBytes: o.BufferBytes},
 				Streams:          o.Streams,
 				QueriesPerStream: o.QueriesPerStream,
 				Mix:              mix,
 				Seed:             o.Seed,
-				Policy:           pol,
 				FastCPUFactor:    o.FastCPUFactor,
 			}
 			res := spec.Run()

@@ -171,11 +171,25 @@ func RunEngine(cfg EngineConfig) (EngineReport, error) {
 		streams[s] = st
 	}
 
-	// Background auditor: periodically freeze the world and recompute every
-	// incremental structure from first principles while loads are read,
-	// retried and completed around it.
-	auditDone := make(chan struct{})
+	// Mid-flight audits: freeze the world and recompute every incremental
+	// structure from first principles while loads are read, retried and
+	// completed around it. A background ticker audits periodically; the
+	// first delivered chunk's callback (which runs outside the server lock,
+	// with its scan still registered) audits once more, so a run that ends
+	// before the ticker fires is still audited mid-flight.
+	var auditMu sync.Mutex
 	var auditErr error
+	audit := func() {
+		err := srv.AuditTables()
+		auditMu.Lock()
+		defer auditMu.Unlock()
+		rep.Audits++
+		if err != nil && auditErr == nil {
+			auditErr = err
+		}
+	}
+	var firstAudit sync.Once
+	auditDone := make(chan struct{})
 	var auditWG sync.WaitGroup
 	auditWG.Add(1)
 	go func() {
@@ -186,10 +200,7 @@ func RunEngine(cfg EngineConfig) (EngineReport, error) {
 				return
 			case <-time.After(2 * time.Millisecond):
 			}
-			rep.Audits++
-			if err := srv.AuditTables(); err != nil && auditErr == nil {
-				auditErr = err
-			}
+			audit()
 		}
 	}()
 
@@ -211,6 +222,7 @@ func RunEngine(cfg EngineConfig) (EngineReport, error) {
 				Table: st.table, Name: fmt.Sprintf("s%d", i),
 				Ranges: st.ranges, Cols: st.cols, Preds: st.preds,
 			}, func(c int, d engine.ChunkData) {
+				firstAudit.Do(audit)
 				results[i].Add(engine.Q6Chunk(d, exec.DefaultQ6()))
 				if st.cancel {
 					cancel()

@@ -14,11 +14,12 @@ import (
 // Spec parameterises one benchmark run: one policy over one layout and one
 // stream workload. Zero values get the paper's defaults.
 type Spec struct {
-	Layout      storage.Layout
-	DiskParams  disk.Params
-	BufferBytes int64
-	CPUCores    int // default 2 (the paper's dual-CPU Opteron)
-	Policy      core.Policy
+	Layout     storage.Layout
+	DiskParams disk.Params
+	// Core configures the ABM: Policy and BufferBytes, plus the knobs the
+	// ablations and Figure 8 set (StarveThreshold, ElevatorWindow,
+	// Prefetch, NoShortQueryPriority, NoWaitPromotion, MeasureScheduling).
+	Core core.Config
 
 	Streams          int     // default 16
 	QueriesPerStream int     // default 4
@@ -39,37 +40,15 @@ type Spec struct {
 	FastCPUFactor float64
 	SlowCPUFactor float64
 
-	// CPUQuantum is the preemption slice for CPU accounting (seconds);
-	// default 10 ms, approximating OS time-sharing so short queries are not
-	// stuck behind whole-chunk computations of long ones.
-	CPUQuantum float64
-
 	// Cols maps a speed class to the DSM column set it reads (ignored for
 	// NSM). Nil selects Q6-ish columns for FAST and Q1-ish for SLOW.
 	Cols func(Speed) storage.ColSet
 
 	// TraceDisk enables the disk request trace (Figure 4).
 	TraceDisk int // max entries; 0 disables
-
-	// ElevatorWindow / StarveThreshold / Prefetch forward to core.Config
-	// when non-zero (used by the ablation benchmarks).
-	ElevatorWindow  int
-	StarveThreshold int
-	Prefetch        int
-
-	// NoShortQueryPriority / NoWaitPromotion forward the relevance
-	// ablations to core.Config.
-	NoShortQueryPriority bool
-	NoWaitPromotion      bool
-
-	// MeasureScheduling forwards to core.Config (Figure 8).
-	MeasureScheduling bool
 }
 
 func (s Spec) withDefaults() Spec {
-	if s.CPUCores == 0 {
-		s.CPUCores = 2
-	}
 	if s.Streams == 0 {
 		s.Streams = 16
 	}
@@ -87,12 +66,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.SlowCPUFactor == 0 {
 		s.SlowCPUFactor = 1.85
-	}
-	if s.DiskParams.Bandwidth == 0 {
-		s.DiskParams = disk.DefaultParams()
-	}
-	if s.CPUQuantum == 0 {
-		s.CPUQuantum = 0.01
 	}
 	return s
 }
@@ -124,83 +97,34 @@ type Result struct {
 
 	AvgStreamTime  float64
 	AvgNormLatency float64
-	TotalTime      float64
-	CPUUse         float64
-	IORequests     int
-	BytesRead      int64
-	Loads          int
-	Evictions      int
-	BufferHits     int
 
 	Queries []QueryOutcome
 	Classes []ClassStats
 
-	DiskTrace []disk.TraceEntry
-
-	SchedNanos float64 // wall-clock ns spent in relevance decisions
-	SchedCalls int64
+	// SimReport holds the run's totals: elapsed virtual time, CPU use, the
+	// ABM and disk counters, the disk trace and the scheduling cost.
+	SimReport
 }
 
-// system is one assembled simulation instance.
-type system struct {
-	env *sim.Env
-	dsk *disk.Disk
-	cpu *sim.Resource
-	abm *core.ABM
-}
-
-func (s Spec) build() *system {
-	env := sim.NewEnv()
-	d := disk.New(env, s.DiskParams)
-	if s.TraceDisk > 0 {
-		d.EnableTrace(s.TraceDisk)
-	}
-	abm := core.New(env, d, s.Layout, core.Config{
-		Policy:            s.Policy,
-		BufferBytes:       s.BufferBytes,
-		MeasureScheduling: s.MeasureScheduling,
-		ElevatorWindow:    s.ElevatorWindow,
-		StarveThreshold:   s.StarveThreshold,
-		Prefetch:          s.Prefetch,
-
-		NoShortQueryPriority: s.NoShortQueryPriority,
-		NoWaitPromotion:      s.NoWaitPromotion,
-	})
-	return &system{env: env, dsk: d, cpu: env.NewResource("cpu", s.CPUCores), abm: abm}
-}
-
-// fullRowChunkTime is the transfer time of one full-width chunk of logical
-// data, the unit the CPU factors are calibrated against. For DSM this uses
-// the compressed per-column densities, not the block-rounded physical
-// extents: CPU cost tracks tuples processed, not I/O units.
-func (s Spec) fullRowChunkTime(sys *system) float64 {
-	var bytes float64
+// cpuPerChunk is the CPU cost of one full chunk for a speed class: its
+// factor times the transfer time of one full-width chunk of logical data.
+// For DSM this uses the compressed per-column densities, not the
+// block-rounded physical extents: CPU cost tracks tuples processed, not I/O
+// units.
+func (s Spec) cpuPerChunk(sm *Sim, speed Speed) float64 {
+	bytes := float64(s.Layout.ChunkBytes(0, 0))
 	if d, ok := s.Layout.(*storage.DSMLayout); ok {
 		perTuple := 0.0
 		for _, c := range s.Layout.Table().Columns {
 			perTuple += c.BitsPerValue / 8
 		}
 		bytes = perTuple * float64(d.TuplesPerChunk())
-	} else {
-		bytes = float64(s.Layout.ChunkBytes(0, 0))
 	}
-	return sys.dsk.TransferTime(int64(bytes))
-}
-
-// costModel builds the per-chunk CPU cost for a speed class.
-func (s Spec) costModel(sys *system, speed Speed) core.CostModel {
 	factor := s.FastCPUFactor
 	if speed == Slow {
 		factor = s.SlowCPUFactor
 	}
-	perChunk := factor * s.fullRowChunkTime(sys)
-	fullTuples := s.Layout.ChunkTuples(0)
-	return func(_ int, tuples int64) float64 {
-		if fullTuples <= 0 {
-			return perChunk
-		}
-		return perChunk * float64(tuples) / float64(fullTuples)
-	}
+	return factor * sm.dsk.TransferTime(int64(bytes))
 }
 
 // defaultCols selects DSM columns per speed: Q6 reads 4 columns, Q1 seven.
@@ -216,17 +140,17 @@ func defaultCols(layout storage.Layout, speed Speed) storage.ColSet {
 	return storage.AllCols(take)
 }
 
+// chunksFor is a template's range length in chunks: its percentage of the
+// table, at least one chunk and at most all of them.
+func chunksFor(layout storage.Layout, t Template) int {
+	n := layout.NumChunks()
+	return min(max(int(math.Round(float64(n)*t.Percent/100)), 1), n)
+}
+
 // rangeFor draws the random chunk range for a template ("reading X% of the
 // full relation from a random location").
 func rangeFor(layout storage.Layout, t Template, r *RNG) storage.RangeSet {
-	n := layout.NumChunks()
-	chunks := int(math.Round(float64(n) * t.Percent / 100))
-	if chunks < 1 {
-		chunks = 1
-	}
-	if chunks > n {
-		chunks = n
-	}
+	n, chunks := layout.NumChunks(), chunksFor(layout, t)
 	start := 0
 	if n > chunks {
 		start = r.Intn(n - chunks + 1)
@@ -239,31 +163,18 @@ func rangeFor(layout storage.Layout, t Template, r *RNG) storage.RangeSet {
 // baseline of the paper's "norm. lat." columns.
 func (s Spec) Standalone(t Template) float64 {
 	s = s.withDefaults()
-	solo := s
-	solo.Policy = core.Normal
-	sys := solo.build()
-	cols := s.colsFor(t)
-	n := s.Layout.NumChunks()
-	chunks := int(math.Round(float64(n) * t.Percent / 100))
-	if chunks < 1 {
-		chunks = 1
+	cfg := s.Core
+	cfg.Policy = core.Normal
+	sm := NewSim(cfg, s.DiskParams, 0, s.Layout)
+	sc := Scan{
+		Name:        t.Name(),
+		Ranges:      storage.NewRangeSet(storage.Range{Start: 0, End: chunksFor(s.Layout, t)}),
+		Columns:     s.colsFor(t),
+		CPUPerChunk: s.cpuPerChunk(sm, t.Speed),
 	}
-	if chunks > n {
-		chunks = n
-	}
-	ranges := storage.NewRangeSet(storage.Range{Start: 0, End: chunks})
 	var latency float64
-	sys.env.Process("standalone", func(p *sim.Proc) {
-		q := sys.abm.NewQuery(t.Name(), ranges, cols)
-		st := core.RunCScan(p, sys.abm, q, core.ScanOptions{
-			CPU:     sys.cpu,
-			Cost:    solo.costModel(sys, t.Speed),
-			Quantum: s.CPUQuantum,
-		})
-		latency = st.Latency()
-		sys.abm.Shutdown()
-	})
-	if err := sys.env.Run(0); err != nil {
+	sm.Stream(0, func(p *sim.Proc) { latency = sm.RunScan(p, sc).Latency() })
+	if _, err := sm.Run(); err != nil {
 		panic(fmt.Sprintf("workload: standalone run stuck: %v", err))
 	}
 	return latency
@@ -296,25 +207,20 @@ func (s Spec) Run() Result {
 		}
 	}
 
-	sys := s.build()
+	sm := NewSim(s.Core, s.DiskParams, s.TraceDisk, s.Layout)
 	outcomes := make([]QueryOutcome, 0, s.Streams*s.QueriesPerStream)
 	streamTimes := make([]float64, s.Streams)
-	remaining := s.Streams
 	for st := 0; st < s.Streams; st++ {
-		st := st
 		streamRNG := NewRNG(s.Seed*1_000_003 + uint64(st))
-		delay := float64(st/s.StreamBatch) * s.StreamDelay
-		sys.env.ProcessAt(fmt.Sprintf("stream-%d", st), delay, func(p *sim.Proc) {
+		sm.Stream(float64(st/s.StreamBatch)*s.StreamDelay, func(p *sim.Proc) {
 			start := p.Now()
 			for qi := 0; qi < s.QueriesPerStream; qi++ {
 				t := s.Mix.Templates[streamRNG.Intn(len(s.Mix.Templates))]
-				ranges := rangeFor(s.Layout, t, streamRNG)
-				name := fmt.Sprintf("%s#s%dq%d", t.Name(), st, qi)
-				q := sys.abm.NewQuery(name, ranges, s.colsFor(t))
-				stats := core.RunCScan(p, sys.abm, q, core.ScanOptions{
-					CPU:     sys.cpu,
-					Cost:    s.costModel(sys, t.Speed),
-					Quantum: s.CPUQuantum,
+				stats := sm.RunScan(p, Scan{
+					Name:        fmt.Sprintf("%s#s%dq%d", t.Name(), st, qi),
+					Ranges:      rangeFor(s.Layout, t, streamRNG),
+					Columns:     s.colsFor(t),
+					CPUPerChunk: s.cpuPerChunk(sm, t.Speed),
 				})
 				outcomes = append(outcomes, QueryOutcome{
 					Template:   t,
@@ -324,17 +230,14 @@ func (s Spec) Run() Result {
 				})
 			}
 			streamTimes[st] = p.Now() - start
-			remaining--
-			if remaining == 0 {
-				sys.abm.Shutdown()
-			}
 		})
 	}
-	if err := sys.env.Run(0); err != nil {
-		panic(fmt.Sprintf("workload: %v run stuck: %v", s.Policy, err))
+	rep, err := sm.Run()
+	if err != nil {
+		panic(fmt.Sprintf("workload: %v run stuck: %v", s.Core.Policy, err))
 	}
 
-	res := Result{Policy: s.Policy, Mix: s.Mix.Label, Queries: outcomes}
+	res := Result{Policy: s.Core.Policy, Mix: s.Mix.Label, Queries: outcomes, SimReport: rep}
 	for _, t := range streamTimes {
 		res.AvgStreamTime += t
 	}
@@ -343,18 +246,6 @@ func (s Spec) Run() Result {
 		res.AvgNormLatency += o.Normalized
 	}
 	res.AvgNormLatency /= float64(len(outcomes))
-	res.TotalTime = sys.env.Now()
-	res.CPUUse = sys.cpu.Utilisation()
-	sysStats := sys.abm.Stats()
-	res.IORequests = sysStats.IORequests
-	res.BytesRead = sysStats.BytesRead
-	res.Loads = sysStats.Loads
-	res.Evictions = sysStats.Evictions
-	res.BufferHits = sysStats.BufferHits
-	res.DiskTrace = sys.dsk.Trace()
-	schedDur, schedCalls := sys.abm.SchedulingCost()
-	res.SchedNanos = float64(schedDur.Nanoseconds())
-	res.SchedCalls = schedCalls
 	res.Classes = classStats(outcomes, baselines)
 	return res
 }
@@ -410,7 +301,7 @@ func (s Spec) RunAllPolicies() []Result {
 	out := make([]Result, 0, len(core.Policies))
 	for _, pol := range core.Policies {
 		sp := s
-		sp.Policy = pol
+		sp.Core.Policy = pol
 		out = append(out, sp.Run())
 	}
 	return out

@@ -11,19 +11,26 @@
 // the cost models that make FAST I/O-bound and SLOW CPU-bound on the
 // simulated 2-core machine.
 //
+// It also holds the one simulator assembly, Sim: environment, modelled
+// disk, 2-core CPU pool and a core.Manager, with one stream helper, one
+// scan call and one report. Spec.Run and Spec.Standalone run on it, and so
+// does the root coopscan.System, so a workload becomes scans in one place.
+// Spec's ABM knobs (policy, buffer size, the ablation switches, scheduling
+// measurement) are one core.Config, Spec.Core.
+//
 // # Design notes
 //
-// The package is deliberately split from both execution worlds: it decides
-// *what* to run (query classes, ranges, stream composition, seeds) and
-// *how to score it* (normalised latency divides each query's latency by
-// its range size, so short and long scans are comparable), while the
-// simulator's driver and the live engine's planner (engine.PlanWorkload)
-// decide how to execute. Determinism is load-bearing everywhere: streams
-// derive their RNG from (seed, stream index), so any experiment, CLI run
-// or benchmark that names the same spec re-executes byte-identical
-// workloads — which is what lets the decision-baseline golden pin
-// scheduler behaviour across refactors, and lets `coopscan multi`
-// report numbers for exactly the workload the recorded benchmarks ran.
+// The package decides *what* to run (query classes, ranges, stream
+// composition, seeds) and *how to score it* (normalised latency divides
+// each query's latency by its class's standalone cold-buffer time, so
+// short and long scans are comparable); core's driver and the live
+// engine's planner (engine.PlanWorkload) decide how each scan executes.
+// Determinism is load-bearing everywhere: streams derive their RNG from
+// (seed, stream index), so any experiment, CLI run or benchmark that
+// names the same spec re-executes byte-identical workloads — which is
+// what lets the decision-baseline golden pin scheduler behaviour across
+// refactors, and lets `coopscan multi` report numbers for exactly the
+// workload the recorded benchmarks ran.
 package workload
 
 import (

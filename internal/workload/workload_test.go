@@ -66,8 +66,7 @@ func smallSpec(policy core.Policy) Spec {
 	return Spec{
 		Layout:           layout,
 		DiskParams:       disk.Params{Bandwidth: 10 << 20, SeekTime: 5e-3},
-		BufferBytes:      10 << 20,
-		Policy:           policy,
+		Core:             core.Config{Policy: policy, BufferBytes: 10 << 20},
 		Streams:          4,
 		QueriesPerStream: 3,
 		StreamDelay:      0.5,
@@ -81,14 +80,14 @@ func TestRunProducesConsistentMetrics(t *testing.T) {
 	if len(res.Queries) != 12 {
 		t.Fatalf("queries = %d, want 12", len(res.Queries))
 	}
-	if res.AvgStreamTime <= 0 || res.TotalTime <= 0 {
+	if res.AvgStreamTime <= 0 || res.Elapsed <= 0 {
 		t.Errorf("non-positive times: %+v", res)
 	}
-	if res.AvgStreamTime > res.TotalTime {
-		t.Errorf("avg stream time %v exceeds total %v", res.AvgStreamTime, res.TotalTime)
+	if res.AvgStreamTime > res.Elapsed {
+		t.Errorf("avg stream time %v exceeds total %v", res.AvgStreamTime, res.Elapsed)
 	}
-	if res.CPUUse <= 0 || res.CPUUse > 1 {
-		t.Errorf("CPU use = %v", res.CPUUse)
+	if res.CPUUtilisation <= 0 || res.CPUUtilisation > 1 {
+		t.Errorf("CPU use = %v", res.CPUUtilisation)
 	}
 	if res.IORequests <= 0 {
 		t.Error("no I/O requests recorded")
@@ -165,8 +164,7 @@ func TestDSMSpecRuns(t *testing.T) {
 	s := Spec{
 		Layout:           layout,
 		DiskParams:       disk.Params{Bandwidth: 10 << 20, SeekTime: 5e-3},
-		BufferBytes:      8 << 20,
-		Policy:           core.Relevance,
+		Core:             core.Config{Policy: core.Relevance, BufferBytes: 8 << 20},
 		Streams:          3,
 		QueriesPerStream: 2,
 		StreamDelay:      0.2,
